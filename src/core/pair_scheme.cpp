@@ -1,17 +1,72 @@
 #include "core/pair_scheme.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/contract.hpp"
 
 namespace pair_ecc::core {
 
-using dram::PinLineBit;
 using gf::Elem;
 
 namespace {
 constexpr unsigned kSymbolBits = 8;
+// Pins gathered per transpose: one byte of beat bits per pin.
+constexpr unsigned kTilePins = 8;
+
+// 8x8 bit-matrix transpose: bit 8i + j <-> bit 8j + i. Byte i of a beat x
+// pin tile holds beat i of pins 0..7, so the transpose turns it into byte
+// p = the 8 beats of pin p, i.e. one symbol per pin.
+constexpr std::uint64_t Transpose8x8(std::uint64_t x) noexcept {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  return x ^ t ^ (t << 28);
 }
+static_assert(Transpose8x8(0x0000000000000002ull) == 0x0000000000000100ull);
+static_assert(Transpose8x8(0x8000000000000000ull) == 0x8000000000000000ull);
+static_assert(Transpose8x8(0x00000000000000FFull) == 0x0101010101010101ull);
+
+// Beat x pin tile of one symbol index in a beat-major bit vector (row image
+// or device column): byte j holds beat j of `count` <= 8 adjacent pins.
+// `base` is beat 0 of the first pin; beats are `pins` bits apart. On x8 the
+// tile is one contiguous 64-bit word, read in one access instead of eight.
+inline std::uint64_t LoadTile(const util::BitVec& bits, unsigned base,
+                              unsigned pins, unsigned count) noexcept {
+  if (pins == kTilePins) return bits.GetWord(base, 64);
+  std::uint64_t tile = 0;
+  for (unsigned j = 0; j < kSymbolBits; ++j)
+    tile |= bits.GetWord(base + j * pins, count) << (kSymbolBits * j);
+  return tile;
+}
+
+// Inverse of LoadTile.
+inline void StoreTile(util::BitVec& bits, unsigned base, unsigned pins,
+                      unsigned count, std::uint64_t tile) noexcept {
+  if (pins == kTilePins) {
+    bits.SetWord(base, 64, tile);
+    return;
+  }
+  for (unsigned j = 0; j < kSymbolBits; ++j)
+    bits.SetWord(base + j * pins, count, tile >> (kSymbolBits * j));
+}
+
+// Byte p of `bytes` -> lanes[p], for p < count.
+void SpreadBytes(std::uint64_t bytes, Elem* lanes, unsigned count) noexcept {
+  for (unsigned p = 0; p < count; ++p)
+    lanes[p] = static_cast<Elem>((bytes >> (kSymbolBits * p)) & 0xFF);
+}
+
+// Inverse of SpreadBytes (symbols are 8 bits wide).
+std::uint64_t PackBytes(const Elem* lanes, unsigned count) noexcept {
+  std::uint64_t bytes = 0;
+  for (unsigned p = 0; p < count; ++p)
+    bytes |= std::uint64_t{lanes[p]} << (kSymbolBits * p);
+  return bytes;
+}
+}  // namespace
 
 PairScheme::PairScheme(dram::Rank& rank, const PairConfig& config)
     : Scheme(rank),
@@ -30,8 +85,8 @@ PairScheme::PairScheme(dram::Rank& rank, const PairConfig& config)
       g.dq_pins * cw_per_pin_ * config_.check_symbols * kSymbolBits;
   PAIR_CHECK(parity_bits <= g.spare_row_bits, "PAIR: spare region too small for parity");
   word_.resize(code_.n());
-  parity_.resize(config_.check_symbols);
   pdelta_.resize(config_.check_symbols);
+  images_.resize(rank.DataDevices());
 }
 
 ecc::PerfDescriptor PairScheme::Perf() const {
@@ -54,50 +109,6 @@ unsigned PairScheme::ParityBitOffset(unsigned pin, unsigned w,
          ((pin * cw_per_pin_ + w) * config_.check_symbols + j) * kSymbolBits;
 }
 
-std::vector<Elem> PairScheme::AssembleCodeword(const util::BitVec& row_image,
-                                               unsigned pin,
-                                               unsigned w) const {
-  std::vector<Elem> word;
-  AssembleCodewordInto(row_image, pin, w, word);
-  return word;
-}
-
-void PairScheme::AssembleCodewordInto(const util::BitVec& row_image,
-                                      unsigned pin, unsigned w,
-                                      std::vector<Elem>& word) const {
-  const auto& g = rank().geometry().device;
-  word.resize(code_.n());
-  for (unsigned i = 0; i < code_.k(); ++i) {
-    const unsigned s = w * code_.k() + i;
-    Elem v = 0;
-    for (unsigned j = 0; j < kSymbolBits; ++j)
-      v = static_cast<Elem>(
-          v | (row_image.Get(PinLineBit(g, pin, s * kSymbolBits + j)) << j));
-    word[i] = v;
-  }
-  for (unsigned j = 0; j < config_.check_symbols; ++j)
-    word[code_.k() + j] = static_cast<Elem>(
-        row_image.GetWord(ParityBitOffset(pin, w, j), kSymbolBits));
-}
-
-void PairScheme::StoreCodeword(unsigned device, unsigned bank, unsigned row,
-                               unsigned pin, unsigned w,
-                               const std::vector<Elem>& word) {
-  const auto& g = rank().geometry().device;
-  auto& dev = rank().device(device);
-  for (unsigned i = 0; i < code_.k(); ++i) {
-    const unsigned s = w * code_.k() + i;
-    for (unsigned j = 0; j < kSymbolBits; ++j)
-      dev.WriteBit(bank, row, PinLineBit(g, pin, s * kSymbolBits + j),
-                   (static_cast<unsigned>(word[i]) >> j) & 1u);
-  }
-  for (unsigned j = 0; j < config_.check_symbols; ++j) {
-    util::BitVec bits(kSymbolBits);
-    bits.SetWord(0, kSymbolBits, word[code_.k() + j]);
-    dev.WriteBits(bank, row, ParityBitOffset(pin, w, j), bits);
-  }
-}
-
 const std::vector<unsigned>* PairScheme::ErasuresFor(
     const CodewordRef& ref) const {
   if (erasures_.empty()) return nullptr;
@@ -117,337 +128,250 @@ bool PairScheme::MarkSymbolErased(unsigned device, unsigned pin, unsigned w,
   return true;
 }
 
-void PairScheme::DoWriteLine(const dram::Address& addr,
-                           const util::BitVec& line) {
+// ------------------------------------------------------------ staged block
+
+unsigned PairScheme::Lane(unsigned w, unsigned device, unsigned pin) const {
+  return ((w - stage_w0_) * rank().DataDevices() + device) *
+             rank().geometry().device.dq_pins +
+         pin;
+}
+
+PairScheme::CodewordRef PairScheme::LaneRef(unsigned lane) const {
+  const unsigned pins = rank().geometry().device.dq_pins;
+  const unsigned devices = rank().DataDevices();
+  return {(lane / pins) % devices, lane % pins,
+          stage_w0_ + lane / (pins * devices)};
+}
+
+void PairScheme::Stage(unsigned bank, unsigned row, unsigned w0,
+                       unsigned wcount) {
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
+  const unsigned k = code_.k();
+  const unsigned lanes = wcount * rank().DataDevices() * pins;
+  stage_bank_ = bank;
+  stage_row_ = row;
+  stage_w0_ = w0;
+  stage_wcount_ = wcount;
+  block_buf_.resize(std::size_t{code_.n()} * lanes);
+  block_ = {block_buf_.data(), lanes, code_.n(), lanes};
+  store_.assign(block_buf_.size(), 0);
 
   for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec new_col = rank().DeviceSlice(line, d);
-    const util::BitVec row_image =
-        dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-
-    for (unsigned pin = 0; pin < pins; ++pin) {
-      const unsigned s0 = addr.col * subsymbols_per_col_;
-      const unsigned w0 = s0 / code_.k();
-      const unsigned w1 = (s0 + subsymbols_per_col_ - 1) / code_.k();
-      for (unsigned w = w0; w <= w1; ++w) {
-        AssembleCodewordInto(row_image, pin, w, word_);
-
-        // Fast path: if the covering codeword is currently consistent, the
-        // parity moves by the precomputed per-symbol delta — no decode, no
-        // internal column cycle (everything is in the open row's sense
-        // amplifiers). A pure delta update over an *inconsistent* codeword
-        // would carry the old error into the new parity and resurrect it
-        // as a miscorrection on the next read, so a dirty codeword takes
-        // the slow path: decode, splice, re-encode. The syndrome check
-        // reuses the read datapath and errors are rare, so the slow path
-        // is off the performance model (scrub_on_write forces it always,
-        // with the RMW timing cost, as the F6 ablation).
-        const bool clean =
-            !config_.scrub_on_write &&
-            code_.IsCodeword(std::span<const Elem>(word_), scratch_);
-        if (clean) {
-          parity_.assign(word_.begin() + code_.k(), word_.end());
-          bool parity_changed = false;
-          for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-            const unsigned s = s0 + q;
-            if (s / code_.k() != w) continue;
-            Elem new_sym = 0;
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              new_sym = static_cast<Elem>(
-                  new_sym |
-                  (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-            const unsigned pos = s % code_.k();
-            const Elem delta = word_[pos] ^ new_sym;
-            if (delta == 0) continue;
-            word_[pos] = new_sym;
-            code_.ParityDeltaInto(pos, delta, pdelta_);
-            for (unsigned j = 0; j < config_.check_symbols; ++j)
-              parity_[j] ^= pdelta_[j];
-            parity_changed = true;
-            // Write the data symbol.
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              dev.WriteBit(addr.bank, addr.row,
-                           dram::PinLineBit(g, pin, s * kSymbolBits + j),
-                           (static_cast<unsigned>(new_sym) >> j) & 1u);
-          }
-          if (parity_changed) {
-            for (unsigned j = 0; j < config_.check_symbols; ++j) {
-              util::BitVec bits(kSymbolBits);
-              bits.SetWord(0, kSymbolBits, parity_[j]);
-              dev.WriteBits(addr.bank, addr.row, ParityBitOffset(pin, w, j),
-                            bits);
-            }
-          }
-          continue;
+    util::BitVec& image = images_[d];
+    rank().device(d).ReadBitsInto(bank, row, 0, g.TotalRowBits(), image);
+    for (unsigned w = w0; w < w0 + wcount; ++w) {
+      const unsigned lane0 = Lane(w, d, 0);
+      for (unsigned i = 0; i < k; ++i) {
+        const unsigned s = w * k + i;
+        for (unsigned pin0 = 0; pin0 < pins; pin0 += kTilePins) {
+          const unsigned count = std::min(kTilePins, pins - pin0);
+          const std::uint64_t tile =
+              LoadTile(image, s * kSymbolBits * pins + pin0, pins, count);
+          SpreadBytes(Transpose8x8(tile), block_.Row(i) + lane0 + pin0, count);
         }
-
-        // Slow path: decode the covering codeword, splice the new symbols
-        // into the corrected data, re-encode from scratch.
-        const auto* er = ErasuresFor({d, pin, w});
-        code_.Decode(std::span<Elem>(word_),
-                     er ? std::span<const unsigned>(*er)
-                        : std::span<const unsigned>{},
-                     scratch_);
-        for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-          const unsigned s = s0 + q;
-          if (s / code_.k() != w) continue;
-          Elem new_sym = 0;
-          for (unsigned j = 0; j < kSymbolBits; ++j)
-            new_sym = static_cast<Elem>(
-                new_sym |
-                (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-          word_[s % code_.k()] = new_sym;
-        }
-        code_.ComputeParityInto(
-            std::span<const Elem>(word_.data(), code_.k()),
-            std::span<Elem>(word_.data() + code_.k(), config_.check_symbols));
-        StoreCodeword(d, addr.bank, addr.row, pin, w, word_);
       }
+      for (unsigned pin = 0; pin < pins; ++pin)
+        for (unsigned j = 0; j < config_.check_symbols; ++j)
+          block_.Row(k + j)[lane0 + pin] = static_cast<Elem>(
+              image.GetWord(ParityBitOffset(pin, w, j), kSymbolBits));
     }
   }
 }
 
-ecc::ReadResult PairScheme::DoReadLine(const dram::Address& addr) {
+void PairScheme::DecodeStaged() {
+  const unsigned lanes = block_.lines;
+  lane_res_.resize(lanes);
+  std::span<const std::span<const unsigned>> erasures;
+  if (!erasures_.empty()) {
+    lane_erasures_.resize(lanes);
+    for (unsigned l = 0; l < lanes; ++l) {
+      const auto* er = ErasuresFor(LaneRef(l));
+      lane_erasures_[l] = er ? std::span<const unsigned>(*er)
+                             : std::span<const unsigned>{};
+    }
+    erasures = lane_erasures_;
+  }
+  code_.DecodeBatch(block_, lane_res_, scratch_, erasures);
+}
+
+bool PairScheme::StagedClean(unsigned lane) const {
+  for (unsigned j = 0; j < code_.r(); ++j)
+    if (scratch_.batch_syn[std::size_t{j} * block_.lines + lane] != 0)
+      return false;
+  return true;
+}
+
+void PairScheme::MarkLane(unsigned lane) {
+  for (unsigned i = 0; i < code_.n(); ++i) store_[i * block_.stride + lane] = 0xFF;
+}
+
+void PairScheme::WriteBackStaged() {
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
-
-  ecc::ReadResult result;
-  result.data = util::BitVec(rank().geometry().LineBits());
-
+  const unsigned k = code_.k();
   for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec row_image =
-        dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-    util::BitVec col_slice(g.AccessBits());
-
-    for (unsigned pin = 0; pin < pins; ++pin) {
-      const unsigned s0 = addr.col * subsymbols_per_col_;
-      // With decode_full_pin_line every codeword of the pin is checked (they
-      // are all in the sense amplifiers); otherwise only the one covering
-      // the addressed column.
-      const unsigned w_begin =
-          config_.decode_full_pin_line ? 0 : s0 / code_.k();
-      const unsigned w_end = config_.decode_full_pin_line
-                                 ? cw_per_pin_ - 1
-                                 : (s0 + subsymbols_per_col_ - 1) / code_.k();
-      for (unsigned w = w_begin; w <= w_end; ++w) {
-        AssembleCodewordInto(row_image, pin, w, word_);
-        const auto* er = ErasuresFor({d, pin, w});
-        const auto status =
-            code_.Decode(std::span<Elem>(word_),
-                         er ? std::span<const unsigned>(*er)
-                            : std::span<const unsigned>{},
-                         scratch_);
-        switch (status) {
-          case rs::DecodeStatus::kNoError:
-            break;
-          case rs::DecodeStatus::kCorrected:
-            if (result.claim != ecc::Claim::kDetected)
-              result.claim = ecc::Claim::kCorrected;
-            result.corrected_units += scratch_.NumCorrected();
-            break;
-          case rs::DecodeStatus::kFailure:
-            result.claim = ecc::Claim::kDetected;
-            break;
+    util::BitVec& image = images_[d];
+    util::BitVec& mask = write_mask_;
+    mask.Reset(g.TotalRowBits());
+    bool any = false;
+    // The row image doubles as the write-back source: whole tiles of staged
+    // symbols go into it, and the mask selects the marked ones.
+    for (unsigned w = stage_w0_; w < stage_w0_ + stage_wcount_; ++w) {
+      const unsigned lane0 = Lane(w, d, 0);
+      for (unsigned i = 0; i < k; ++i) {
+        const unsigned s = w * k + i;
+        for (unsigned pin0 = 0; pin0 < pins; pin0 += kTilePins) {
+          const unsigned count = std::min(kTilePins, pins - pin0);
+          const unsigned l = lane0 + pin0;
+          const std::uint64_t flags =
+              PackBytes(store_.data() + std::size_t{i} * block_.stride + l, count);
+          if (flags == 0) continue;
+          const unsigned base = s * kSymbolBits * pins + pin0;
+          StoreTile(image, base, pins, count,
+                    Transpose8x8(PackBytes(block_.Row(i) + l, count)));
+          StoreTile(mask, base, pins, count, Transpose8x8(flags));
+          any = true;
         }
-        // Deliver the (corrected) symbols belonging to the addressed column.
-        for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-          const unsigned s = s0 + q;
-          if (s / code_.k() != w) continue;
-          const Elem v = word_[s % code_.k()];
-          for (unsigned j = 0; j < kSymbolBits; ++j)
-            col_slice.Set((q * kSymbolBits + j) * pins + pin,
-                          (static_cast<unsigned>(v) >> j) & 1u);
+      }
+      for (unsigned pin = 0; pin < pins; ++pin) {
+        const unsigned l = lane0 + pin;
+        for (unsigned j = 0; j < config_.check_symbols; ++j) {
+          if (store_[std::size_t{k + j} * block_.stride + l] == 0) continue;
+          const unsigned offset = ParityBitOffset(pin, w, j);
+          image.SetWord(offset, kSymbolBits, block_.Row(k + j)[l]);
+          mask.SetWord(offset, kSymbolBits, 0xFF);
+          any = true;
         }
       }
     }
-    rank().SetDeviceSlice(result.data, d, col_slice);
+    if (any)
+      rank().device(d).WriteRowMasked(stage_bank_, stage_row_, image, mask);
   }
+}
+
+// --------------------------------------------------------------- data path
+
+void PairScheme::DoWriteLine(const dram::Address& addr,
+                             const util::BitVec& line) {
+  DoWriteLines(std::span<const dram::Address>(&addr, 1),
+               std::span<const util::BitVec>(&line, 1));
+}
+
+ecc::ReadResult PairScheme::DoReadLine(const dram::Address& addr) {
+  ecc::ReadResult result;
+  DoReadLines(std::span<const dram::Address>(&addr, 1),
+              std::span<ecc::ReadResult>(&result, 1));
   return result;
 }
 
 void PairScheme::DoWriteLines(std::span<const dram::Address> addrs,
                               std::span<const util::BitVec> lines) {
   PAIR_DCHECK(addrs.size() == lines.size(), "span extents rechecked in NVI");
-  // The scrub-on-write ablation decodes every covering codeword regardless
-  // of cleanliness, so there is nothing for the batch clean-check to win.
-  if (config_.scrub_on_write) {
-    Scheme::DoWriteLines(addrs, lines);
-    return;
-  }
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
-  const unsigned devices = rank().DataDevices();
+  const unsigned k = code_.k();
+  const unsigned r = config_.check_symbols;
 
   for (std::size_t a = 0; a < addrs.size(); ++a) {
     const dram::Address& addr = addrs[a];
     const util::BitVec& line = lines[a];
     const unsigned s0 = addr.col * subsymbols_per_col_;
-    const unsigned w0 = s0 / code_.k();
-    const unsigned w1 = (s0 + subsymbols_per_col_ - 1) / code_.k();
-    const unsigned wcount = w1 - w0 + 1;
-    const unsigned lanes = devices * pins * wcount;
+    const unsigned w0 = s0 / k;
+    Stage(addr.bank, addr.row, w0, (s0 + subsymbols_per_col_ - 1) / k - w0 + 1);
+    DecodeStaged();
 
-    // Stage every covering codeword of this line as one lane of an SoA
-    // block: lane(d, pin, w) = (d*pins + pin)*wcount + (w - w0). Snapshot
-    // order differs from the per-line path (all devices staged before any
-    // write), but devices are separate chips and within a device the
-    // (pin, w) codewords occupy disjoint bits, so the images agree.
-    block_buf_.resize(std::size_t{code_.n()} * lanes);
-    const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    for (unsigned d = 0; d < devices; ++d) {
-      const util::BitVec row_image =
-          rank().device(d).ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w0; w <= w1; ++w) {
-          AssembleCodewordInto(row_image, pin, w, word_);
-          const unsigned l = (d * pins + pin) * wcount + (w - w0);
-          for (unsigned i = 0; i < code_.n(); ++i) block.Row(i)[l] = word_[i];
+    // Splice the new symbols into the covering codewords. A clean codeword
+    // takes the delta-parity update: its parity moves by the precomputed
+    // per-symbol footprint of each changed symbol — no decode, no internal
+    // column cycle (everything is in the open row's sense amplifiers) —
+    // and only the changed data symbols and the parity are written. A pure
+    // delta update over an *inconsistent* codeword would carry the old
+    // error into the new parity and resurrect it as a miscorrection on the
+    // next read, so a dirty codeword was decoded above and is re-encoded
+    // and rewritten whole below. The syndrome check reuses the read
+    // datapath and errors are rare, so that slow path is off the
+    // performance model (scrub_on_write forces it always, with the RMW
+    // timing cost, as the F6 ablation).
+    //
+    // Writing only changed symbols is observable, not an optimisation:
+    // under a stuck cell the stored value differs from what reads return,
+    // and rewriting an unchanged symbol would overwrite that hidden value
+    // (visible again after ClearStuck or a repair).
+    for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+      for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
+        const unsigned s = s0 + q;
+        const unsigned w = s / k;
+        const unsigned pos = s % k;
+        for (unsigned pin0 = 0; pin0 < pins; pin0 += kTilePins) {
+          const unsigned count = std::min(kTilePins, pins - pin0);
+          const std::uint64_t syms = Transpose8x8(LoadTile(
+              line, d * g.AccessBits() + q * kSymbolBits * pins + pin0, pins,
+              count));
+          for (unsigned p = 0; p < count; ++p) {
+            const unsigned l = Lane(w, d, pin0 + p);
+            const auto new_sym =
+                static_cast<Elem>((syms >> (kSymbolBits * p)) & 0xFF);
+            Elem& sym = block_.Row(pos)[l];
+            const Elem delta = sym ^ new_sym;
+            sym = new_sym;
+            if (config_.scrub_on_write || !StagedClean(l) || delta == 0)
+              continue;
+            store_[std::size_t{pos} * block_.stride + l] = 0xFF;
+            code_.ParityDeltaInto(pos, delta, pdelta_);
+            for (unsigned j = 0; j < r; ++j) {
+              block_.Row(k + j)[l] ^= pdelta_[j];
+              store_[std::size_t{k + j} * block_.stride + l] = 0xFF;
+            }
+          }
         }
       }
     }
-
-    // One vectorized syndrome sweep classifies every lane. It computes
-    // exactly the values IsCodeword derives per codeword, so the
-    // clean/dirty split — and everything downstream — is unchanged.
-    scratch_.batch_syn.resize(std::size_t{code_.r()} * lanes);
-    code_.SyndromesBatchInto(block, scratch_.batch_syn);
-
-    for (unsigned d = 0; d < devices; ++d) {
-      auto& dev = rank().device(d);
-      const util::BitVec new_col = rank().DeviceSlice(line, d);
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w0; w <= w1; ++w) {
-          const unsigned l = (d * pins + pin) * wcount + (w - w0);
-          for (unsigned i = 0; i < code_.n(); ++i) word_[i] = block.Row(i)[l];
-          bool clean = true;
-          for (unsigned j = 0; j < code_.r(); ++j)
-            clean = clean &&
-                    scratch_.batch_syn[std::size_t{j} * lanes + l] == 0;
-
-          if (clean) {
-            // Delta-parity fast path, identical to DoWriteLine.
-            parity_.assign(word_.begin() + code_.k(), word_.end());
-            bool parity_changed = false;
-            for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-              const unsigned s = s0 + q;
-              if (s / code_.k() != w) continue;
-              Elem new_sym = 0;
-              for (unsigned j = 0; j < kSymbolBits; ++j)
-                new_sym = static_cast<Elem>(
-                    new_sym |
-                    (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-              const unsigned pos = s % code_.k();
-              const Elem delta = word_[pos] ^ new_sym;
-              if (delta == 0) continue;
-              word_[pos] = new_sym;
-              code_.ParityDeltaInto(pos, delta, pdelta_);
-              for (unsigned j = 0; j < config_.check_symbols; ++j)
-                parity_[j] ^= pdelta_[j];
-              parity_changed = true;
-              for (unsigned j = 0; j < kSymbolBits; ++j)
-                dev.WriteBit(addr.bank, addr.row,
-                             dram::PinLineBit(g, pin, s * kSymbolBits + j),
-                             (static_cast<unsigned>(new_sym) >> j) & 1u);
-            }
-            if (parity_changed) {
-              for (unsigned j = 0; j < config_.check_symbols; ++j) {
-                util::BitVec bits(kSymbolBits);
-                bits.SetWord(0, kSymbolBits, parity_[j]);
-                dev.WriteBits(addr.bank, addr.row, ParityBitOffset(pin, w, j),
-                              bits);
-              }
-            }
-            continue;
-          }
-
-          // Slow path: decode, splice, re-encode — identical to DoWriteLine
-          // (erasures only matter here, so no fallback is needed above).
-          const auto* er = ErasuresFor({d, pin, w});
-          code_.Decode(std::span<Elem>(word_),
-                       er ? std::span<const unsigned>(*er)
-                          : std::span<const unsigned>{},
-                       scratch_);
-          for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-            const unsigned s = s0 + q;
-            if (s / code_.k() != w) continue;
-            Elem new_sym = 0;
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              new_sym = static_cast<Elem>(
-                  new_sym |
-                  (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-            word_[s % code_.k()] = new_sym;
-          }
-          code_.ComputeParityInto(
-              std::span<const Elem>(word_.data(), code_.k()),
-              std::span<Elem>(word_.data() + code_.k(),
-                              config_.check_symbols));
-          StoreCodeword(d, addr.bank, addr.row, pin, w, word_);
-        }
-      }
+    for (unsigned l = 0; l < block_.lines; ++l) {
+      if (!config_.scrub_on_write && StagedClean(l)) continue;
+      for (unsigned i = 0; i < k; ++i) word_[i] = block_.Row(i)[l];
+      code_.ComputeParityInto(std::span<const Elem>(word_.data(), k),
+                              std::span<Elem>(word_.data() + k, r));
+      for (unsigned j = 0; j < r; ++j) block_.Row(k + j)[l] = word_[k + j];
+      MarkLane(l);
     }
+    WriteBackStaged();
   }
 }
 
 void PairScheme::DoReadLines(std::span<const dram::Address> addrs,
                              std::span<ecc::ReadResult> results) {
   PAIR_DCHECK(addrs.size() == results.size(), "span extents rechecked in NVI");
-  // DecodeBatch handles errors only; registered erasures route every read
-  // through the per-line scalar path.
-  if (!erasures_.empty()) {
-    Scheme::DoReadLines(addrs, results);
-    return;
-  }
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
-  const unsigned devices = rank().DataDevices();
+  const unsigned k = code_.k();
 
   for (std::size_t a = 0; a < addrs.size(); ++a) {
     const dram::Address& addr = addrs[a];
     ecc::ReadResult& result = results[a];
-    result.claim = ecc::Claim::kClean;
-    result.corrected_units = 0;
-    result.data = util::BitVec(rank().geometry().LineBits());
-
+    // With decode_full_pin_line every codeword of the pin is checked (they
+    // are all in the sense amplifiers); otherwise only the one covering
+    // the addressed column.
     const unsigned s0 = addr.col * subsymbols_per_col_;
-    const unsigned w_begin = config_.decode_full_pin_line ? 0 : s0 / code_.k();
+    const unsigned w_begin = config_.decode_full_pin_line ? 0 : s0 / k;
     const unsigned w_end = config_.decode_full_pin_line
                                ? cw_per_pin_ - 1
-                               : (s0 + subsymbols_per_col_ - 1) / code_.k();
-    const unsigned wcount = w_end - w_begin + 1;
-    const unsigned lanes = devices * pins * wcount;
-
-    block_buf_.resize(std::size_t{code_.n()} * lanes);
-    const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    for (unsigned d = 0; d < devices; ++d) {
-      const util::BitVec row_image =
-          rank().device(d).ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w_begin; w <= w_end; ++w) {
-          AssembleCodewordInto(row_image, pin, w, word_);
-          const unsigned l = (d * pins + pin) * wcount + (w - w_begin);
-          for (unsigned i = 0; i < code_.n(); ++i) block.Row(i)[l] = word_[i];
-        }
-      }
-    }
-
-    line_res_.resize(lanes);
-    code_.DecodeBatch(block, line_res_, scratch_);
+                               : (s0 + subsymbols_per_col_ - 1) / k;
+    Stage(addr.bank, addr.row, w_begin, w_end - w_begin + 1);
+    DecodeStaged();
 
     // Claim aggregation: the failure > corrected > clean lattice is
-    // order-independent, and corrected_units is a plain sum, so walking
-    // lanes in any order reproduces the per-line result.
-    for (unsigned l = 0; l < lanes; ++l) {
-      switch (line_res_[l].status) {
+    // order-independent, and corrected_units is a plain sum.
+    result.claim = ecc::Claim::kClean;
+    result.corrected_units = 0;
+    for (const rs::BatchLineResult& lane : lane_res_) {
+      switch (lane.status) {
         case rs::DecodeStatus::kNoError:
           break;
         case rs::DecodeStatus::kCorrected:
           if (result.claim != ecc::Claim::kDetected)
             result.claim = ecc::Claim::kCorrected;
-          result.corrected_units += line_res_[l].corrected;
+          result.corrected_units += lane.corrected;
           break;
         case rs::DecodeStatus::kFailure:
           result.claim = ecc::Claim::kDetected;
@@ -455,84 +379,55 @@ void PairScheme::DoReadLines(std::span<const dram::Address> addrs,
       }
     }
 
-    // Deliver the addressed column's symbols. DecodeBatch wrote corrected
-    // lanes back into the block and left failed lanes as received — the
-    // same contents the per-line path delivers.
-    for (unsigned d = 0; d < devices; ++d) {
-      util::BitVec col_slice(g.AccessBits());
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w_begin; w <= w_end; ++w) {
-          const unsigned l = (d * pins + pin) * wcount + (w - w_begin);
-          for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-            const unsigned s = s0 + q;
-            if (s / code_.k() != w) continue;
-            const Elem v = block.Row(s % code_.k())[l];
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              col_slice.Set((q * kSymbolBits + j) * pins + pin,
-                            (static_cast<unsigned>(v) >> j) & 1u);
-          }
+    // Deliver the (corrected) symbols of the addressed column; failed
+    // lanes deliver the data as received.
+    result.data.Reset(rank().geometry().LineBits());
+    for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+      for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
+        const unsigned s = s0 + q;
+        for (unsigned pin0 = 0; pin0 < pins; pin0 += kTilePins) {
+          const unsigned count = std::min(kTilePins, pins - pin0);
+          const std::uint64_t syms =
+              PackBytes(block_.Row(s % k) + Lane(s / k, d, pin0), count);
+          StoreTile(result.data,
+                    d * g.AccessBits() + q * kSymbolBits * pins + pin0, pins,
+                    count, Transpose8x8(syms));
         }
       }
-      rank().SetDeviceSlice(result.data, d, col_slice);
     }
   }
 }
 
 void PairScheme::DoScrubLine(const dram::Address& addr) {
-  const auto& g = rank().geometry().device;
-  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec row_image =
-        dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-    for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
-      const unsigned s0 = addr.col * subsymbols_per_col_;
-      const unsigned w0 = s0 / code_.k();
-      const unsigned w1 = (s0 + subsymbols_per_col_ - 1) / code_.k();
-      for (unsigned w = w0; w <= w1; ++w) {
-        AssembleCodewordInto(row_image, pin, w, word_);
-        const auto* er = ErasuresFor({d, pin, w});
-        const auto status =
-            code_.Decode(std::span<Elem>(word_),
-                         er ? std::span<const unsigned>(*er)
-                            : std::span<const unsigned>{},
-                         scratch_);
-        if (status == rs::DecodeStatus::kCorrected)
-          StoreCodeword(d, addr.bank, addr.row, pin, w, word_);
-      }
-    }
-  }
+  const unsigned s0 = addr.col * subsymbols_per_col_;
+  const unsigned w0 = s0 / code_.k();
+  Stage(addr.bank, addr.row, w0,
+        (s0 + subsymbols_per_col_ - 1) / code_.k() - w0 + 1);
+  DecodeStaged();
+  for (unsigned l = 0; l < block_.lines; ++l)
+    if (lane_res_[l].status == rs::DecodeStatus::kCorrected) MarkLane(l);
+  WriteBackStaged();
 }
 
 PairScheme::ScrubStats PairScheme::ScrubRow(unsigned bank, unsigned row) {
-  const auto& g = rank().geometry().device;
+  Stage(bank, row, 0, cw_per_pin_);
+  DecodeStaged();
   ScrubStats stats;
-  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec row_image = dev.ReadBits(bank, row, 0, g.TotalRowBits());
-    for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
-      for (unsigned w = 0; w < cw_per_pin_; ++w) {
-        ++stats.codewords;
-        AssembleCodewordInto(row_image, pin, w, word_);
-        const auto* er = ErasuresFor({d, pin, w});
-        const auto status =
-            code_.Decode(std::span<Elem>(word_),
-                         er ? std::span<const unsigned>(*er)
-                            : std::span<const unsigned>{},
-                         scratch_);
-        switch (status) {
-          case rs::DecodeStatus::kNoError:
-            break;
-          case rs::DecodeStatus::kCorrected:
-            ++stats.corrected;
-            StoreCodeword(d, bank, row, pin, w, word_);
-            break;
-          case rs::DecodeStatus::kFailure:
-            ++stats.uncorrectable;
-            break;
-        }
-      }
+  stats.codewords = block_.lines;
+  for (unsigned l = 0; l < block_.lines; ++l) {
+    switch (lane_res_[l].status) {
+      case rs::DecodeStatus::kNoError:
+        break;
+      case rs::DecodeStatus::kCorrected:
+        ++stats.corrected;
+        MarkLane(l);
+        break;
+      case rs::DecodeStatus::kFailure:
+        ++stats.uncorrectable;
+        break;
     }
   }
+  WriteBackStaged();
   return stats;
 }
 

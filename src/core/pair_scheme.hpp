@@ -32,6 +32,8 @@
 #pragma once
 
 #include <map>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/pair_config.hpp"
@@ -69,16 +71,19 @@ class PairScheme final : public ecc::Scheme {
   ScrubStats ScrubRow(unsigned bank, unsigned row);
 
  protected:
+  /// Per-line entry points: a batch of one through DoWriteLines /
+  /// DoReadLines.
   void DoWriteLine(const dram::Address& addr,
                    const util::BitVec& line) override;
   ecc::ReadResult DoReadLine(const dram::Address& addr) override;
 
-  /// Batch data path: each address's dq_pins * data_devices (* codewords
-  /// per pin) codewords become lanes of one SoA block driven through the
-  /// vectorized RS batch APIs — one SyndromesBatchInto clean-check per
-  /// write, one DecodeBatch per read. Observably identical to the per-line
-  /// loops; erasure-carrying reads and the scrub-on-write ablation fall
-  /// back to them.
+  /// Batch data path. Each address stages its codewords (every data device
+  /// x pin x covering codeword; every codeword of the pin line for reads
+  /// with decode_full_pin_line) as the lanes of one SoA block, classifies
+  /// them with one vectorized syndrome sweep and decodes only dirty or
+  /// erasure-carrying lanes with the scalar decoder. Writes take the
+  /// delta-parity update on clean lanes and decode-splice-re-encode on the
+  /// rest (all lanes under the scrub-on-write ablation).
   void DoWriteLines(std::span<const dram::Address> addrs,
                     std::span<const util::BitVec> lines) override;
   void DoReadLines(std::span<const dram::Address> addrs,
@@ -107,21 +112,38 @@ class PairScheme final : public ecc::Scheme {
   /// Spare-region bit offset of check symbol `j` of codeword (pin, w).
   unsigned ParityBitOffset(unsigned pin, unsigned w, unsigned j) const;
 
-  /// Assembles codeword (device, pin, w) from the stored row image.
-  std::vector<gf::Elem> AssembleCodeword(const util::BitVec& row_image,
-                                         unsigned pin, unsigned w) const;
-
-  /// Allocation-free variant: overwrites `word` (resized to n) with the
-  /// assembled codeword.
-  void AssembleCodewordInto(const util::BitVec& row_image, unsigned pin,
-                            unsigned w, std::vector<gf::Elem>& word) const;
-
-  /// Writes corrected/updated symbols of a codeword back to the array.
-  void StoreCodeword(unsigned device, unsigned bank, unsigned row,
-                     unsigned pin, unsigned w,
-                     const std::vector<gf::Elem>& word);
-
   const std::vector<unsigned>* ErasuresFor(const CodewordRef& ref) const;
+
+  // -- staged block ---------------------------------------------------------
+  //
+  // Stage() gathers codewords (device, pin, w) for every data device, every
+  // pin and w in [w0, w0 + wcount) of one row into block_, lane
+  // ((w - w0) * devices + device) * pins + pin, so the pins of one device
+  // are adjacent lanes. Symbols are gathered eight pins at a time: the
+  // beat x pin bit block of a symbol index, transposed, is that symbol for
+  // every pin of the tile. Writes go back through the same transpose, and
+  // only for the symbols marked in store_.
+
+  unsigned Lane(unsigned w, unsigned device, unsigned pin) const;
+  CodewordRef LaneRef(unsigned lane) const;
+
+  /// Reads every data device's row image and fills block_ with the
+  /// codewords w in [w0, w0 + wcount) of every device and pin.
+  void Stage(unsigned bank, unsigned row, unsigned w0, unsigned wcount);
+
+  /// Decodes every staged lane in place (DecodeBatch, with each lane's
+  /// registered erasures); fills lane_res_.
+  void DecodeStaged();
+
+  /// True iff staged lane `lane` was a codeword before DecodeStaged.
+  bool StagedClean(unsigned lane) const;
+
+  /// Marks every symbol of `lane` for write-back.
+  void MarkLane(unsigned lane);
+
+  /// Writes the marked symbols of block_ back to the staged row, touching
+  /// no other bit of the array.
+  void WriteBackStaged();
 
   PairConfig config_;
   rs::RsCode code_;
@@ -135,13 +157,22 @@ class PairScheme final : public ecc::Scheme {
   // touched by one thread only.
   rs::DecodeScratch scratch_;
   std::vector<gf::Elem> word_;
-  std::vector<gf::Elem> parity_;
   std::vector<gf::Elem> pdelta_;
-  // Batch staging: one SoA codeword block (all devices x pins x covering
-  // codewords of one address) plus per-lane decode results, reused across
-  // addresses and calls.
+  // Staged block state: the row and codeword range, the SoA block and its
+  // per-symbol write-back flags (0 or 0xFF, same indexing), per-lane decode
+  // results and erasure lists, each data device's row image, and the mask
+  // of image bits the write-back stores.
+  unsigned stage_bank_ = 0;
+  unsigned stage_row_ = 0;
+  unsigned stage_w0_ = 0;
+  unsigned stage_wcount_ = 0;
   std::vector<gf::Elem> block_buf_;
-  std::vector<rs::BatchLineResult> line_res_;
+  rs::CodewordBlock block_;
+  std::vector<gf::Elem> store_;
+  std::vector<rs::BatchLineResult> lane_res_;
+  std::vector<std::span<const unsigned>> lane_erasures_;
+  std::vector<util::BitVec> images_;
+  util::BitVec write_mask_;
 };
 
 }  // namespace pair_ecc::core

@@ -25,7 +25,7 @@ bool Device::PostPackageRepair(unsigned bank, unsigned row) {
   // Abandon the defective physical row entirely (its stuck cells go with it).
   const auto old_it = rows_.find(PhysicalKey(bank, row));
   if (old_it != rows_.end()) {
-    stuck_count_ -= old_it->second.stuck.size();
+    stuck_count_ -= old_it->second.stuck_mask.Popcount();
     rows_.erase(old_it);
   }
   remap_[RowKey(bank, row)] = next_spare_id_++;
@@ -56,10 +56,8 @@ bool Device::ReadBit(unsigned bank, unsigned row, unsigned bit) const {
   PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::ReadBit: bit out of range");
   const RowState* state = FindRow(bank, row);
   if (state == nullptr) return false;
-  if (!state->stuck.empty()) {
-    const auto it = state->stuck.find(bit);
-    if (it != state->stuck.end()) return it->second;
-  }
+  if (!state->stuck_mask.empty() && state->stuck_mask.Get(bit))
+    return state->stuck_value.Get(bit);
   return state->data.Get(bit);
 }
 
@@ -70,21 +68,36 @@ void Device::WriteBit(unsigned bank, unsigned row, unsigned bit, bool value) {
 
 util::BitVec Device::ReadBits(unsigned bank, unsigned row, unsigned offset,
                               unsigned count) const {
+  util::BitVec out;
+  ReadBitsInto(bank, row, offset, count, out);
+  return out;
+}
+
+void Device::ReadBitsInto(unsigned bank, unsigned row, unsigned offset,
+                          unsigned count, util::BitVec& out) const {
   PAIR_CHECK_RANGE(!(offset + count > geom_.TotalRowBits()), "Device::ReadBits: range out of row");
   const RowState* state = FindRow(bank, row);
-  if (state == nullptr) return util::BitVec(count);
-  util::BitVec out = state->data.Slice(offset, count);
-  for (const auto& [bit, value] : state->stuck)
-    if (bit >= offset && bit < offset + count) out.Set(bit - offset, value);
-  return out;
+  if (state == nullptr) {
+    out.Reset(count);
+    return;
+  }
+  state->data.SliceInto(offset, count, out);
+  if (!state->stuck_mask.empty())
+    out.Overlay(state->stuck_mask, state->stuck_value, offset);
 }
 
 void Device::WriteBits(unsigned bank, unsigned row, unsigned offset,
                        const util::BitVec& bits) {
   PAIR_CHECK_RANGE(!(offset + bits.size() > geom_.TotalRowBits()), "Device::WriteBits: range out of row");
-  RowState& state = GetRow(bank, row);
-  for (unsigned i = 0; i < bits.size(); ++i)
-    state.data.Set(offset + i, bits.Get(i));
+  GetRow(bank, row).data.Splice(offset, bits);
+}
+
+void Device::WriteRowMasked(unsigned bank, unsigned row,
+                            const util::BitVec& bits,
+                            const util::BitVec& mask) {
+  PAIR_CHECK(bits.size() == geom_.TotalRowBits() && mask.size() == bits.size(),
+             "Device::WriteRowMasked: planes must span the whole row");
+  GetRow(bank, row).data.Overlay(mask, bits);
 }
 
 util::BitVec Device::ReadColumn(const Address& addr) const {
@@ -106,13 +119,23 @@ void Device::InjectFlip(unsigned bank, unsigned row, unsigned bit) {
 
 void Device::SetStuck(unsigned bank, unsigned row, unsigned bit, bool value) {
   PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::SetStuck: bit out of range");
-  auto [it, inserted] = GetRow(bank, row).stuck.insert_or_assign(bit, value);
-  (void)it;
-  if (inserted) ++stuck_count_;
+  RowState& state = GetRow(bank, row);
+  if (state.stuck_mask.empty()) {
+    state.stuck_mask = util::BitVec(geom_.TotalRowBits());
+    state.stuck_value = util::BitVec(geom_.TotalRowBits());
+  }
+  if (!state.stuck_mask.Get(bit)) {
+    state.stuck_mask.Set(bit, true);
+    ++stuck_count_;
+  }
+  state.stuck_value.Set(bit, value);
 }
 
 void Device::ClearStuck() {
-  for (auto& [key, state] : rows_) state.stuck.clear();
+  for (auto& [key, state] : rows_) {
+    state.stuck_mask = util::BitVec();
+    state.stuck_value = util::BitVec();
+  }
   stuck_count_ = 0;
 }
 

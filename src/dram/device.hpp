@@ -6,7 +6,14 @@
 //  * transient flips — the stored value is inverted once (a disturbed cell);
 //    a subsequent write repairs it;
 //  * stuck-at bits — reads always return the stuck value regardless of what
-//    was written (a permanently defective cell / column / row).
+//    was written (a permanently defective cell / column / row). Writes
+//    still reach the cell's underlying storage, which reads back once the
+//    overlay is cleared (ClearStuck) or the row is repaired away (PPR).
+//
+// The stuck overlay is a pair of per-row bit planes (mask, value), allocated
+// on a row's first SetStuck and applied to reads with one word op per 64
+// bits, so a row fault (thousands of stuck cells) costs a read no more than
+// a single stuck cell does.
 //
 // Bit indices run over the *entire* row including the spare ECC region
 // [row_bits, row_bits + spare_row_bits) — inherent faults do not spare the
@@ -33,16 +40,28 @@ class Device {
   /// applied). `bit` may address the spare region.
   bool ReadBit(unsigned bank, unsigned row, unsigned bit) const;
 
-  /// Writes one bit of the underlying storage. Stuck bits swallow writes.
+  /// Writes one bit of the underlying storage. Under a stuck bit the write
+  /// is stored but hidden: reads keep returning the stuck value.
   void WriteBit(unsigned bank, unsigned row, unsigned bit, bool value);
 
   /// Reads `count` bits starting at `offset` within the row.
   util::BitVec ReadBits(unsigned bank, unsigned row, unsigned offset,
                         unsigned count) const;
 
+  /// Allocation-free ReadBits: `out` becomes the `count` bits at `offset`
+  /// (stuck-at overlay applied), reusing the caller-owned buffer.
+  void ReadBitsInto(unsigned bank, unsigned row, unsigned offset,
+                    unsigned count, util::BitVec& out) const;
+
   /// Writes `bits` at `offset` within the row.
   void WriteBits(unsigned bank, unsigned row, unsigned offset,
                  const util::BitVec& bits);
+
+  /// Writes the bits of `bits` whose `mask` bit is set and leaves the rest
+  /// of the row untouched. Both vectors span the whole row
+  /// (TotalRowBits()).
+  void WriteRowMasked(unsigned bank, unsigned row, const util::BitVec& bits,
+                      const util::BitVec& mask);
 
   /// One column access worth of data (AccessBits bits, beat-major).
   util::BitVec ReadColumn(const Address& addr) const;
@@ -59,7 +78,7 @@ class Device {
   /// Drops all stuck-at entries (used between Monte-Carlo trials).
   void ClearStuck();
 
-  /// Number of stuck bits currently registered (diagnostics).
+  /// Number of distinct stuck bits currently registered (diagnostics).
   std::size_t StuckCount() const noexcept { return stuck_count_; }
 
   // -- post-package repair ---------------------------------------------------
@@ -80,8 +99,10 @@ class Device {
  private:
   struct RowState {
     util::BitVec data;
-    // Sparse stuck overlay: bit index -> forced value. Usually empty.
-    std::unordered_map<unsigned, bool> stuck;
+    // Stuck-at overlay planes: bit i reads as stuck_value[i] wherever
+    // stuck_mask[i] is set. Both stay empty until the row's first SetStuck.
+    util::BitVec stuck_mask;
+    util::BitVec stuck_value;
   };
 
   std::uint64_t RowKey(unsigned bank, unsigned row) const {

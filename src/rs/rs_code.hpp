@@ -94,7 +94,8 @@ struct DecodeScratch {
   Poly gamma, lambda, b_poly, adj, prev, s_poly, omega, lambda_prime;
   std::vector<unsigned> err_pos;
   std::vector<Elem> err_xinv;
-  // DecodeBatch workspace: r * lines block syndromes plus one staged lane.
+  // DecodeBatch workspace: r * lines block syndromes plus one staged lane
+  // (the scalar Decode it calls leaves batch_syn alone).
   std::vector<Elem> batch_syn;
   std::vector<Elem> lane;
 
@@ -197,11 +198,15 @@ class RsCode {
   /// overwhelmingly common case — one kernel sweep, no per-lane work), then
   /// each dirty lane runs the scalar errors-only decoder. kCorrected lanes
   /// are repaired in the block; kFailure lanes are left as received.
-  /// results.size() == block.lines. Erasure decoding stays per-line
-  /// (callers with erasures use Decode).
+  /// results.size() == block.lines. `erasures` is either empty or holds one
+  /// erasure list per lane; a lane with a non-empty list always runs the
+  /// scalar errors-and-erasures decoder with it, exactly as Decode would.
+  /// On return scratch.batch_syn still holds the block's pre-decode
+  /// syndromes (syndrome j of lane l at [j * lines + l]).
   void DecodeBatch(const CodewordBlock& block,
                    std::span<BatchLineResult> results,
-                   DecodeScratch& scratch) const;
+                   DecodeScratch& scratch,
+                   std::span<const std::span<const unsigned>> erasures = {}) const;
 
   /// The batch-kernel set this code dispatches to (chosen at construction
   /// from CPU features and PAIR_GF_KERNEL; spans shorter than

@@ -4,7 +4,10 @@
 // std::vector<bool> is avoided (no data(), proxy references); this class
 // stores 64-bit words, supports XOR composition (error injection is XOR),
 // popcount, and sub-range extraction, which are the operations the codecs
-// and the fault injector need on their hot paths.
+// and the fault injector need on their hot paths. Sub-range operations
+// (Slice, Splice, GetWord, SetWord, Overlay) work a 64-bit word at a time
+// with shifts and masks. Bits past size() in the last word stay zero, which
+// operator== and Popcount rely on.
 #pragma once
 
 #include <cstdint>
@@ -94,20 +97,40 @@ class BitVec {
     return out;
   }
 
+  /// Resizes to `size` bits, all zero. Reuses the existing capacity, so a
+  /// buffer that is reset to the same size again never reallocates.
+  void Reset(std::size_t size) {
+    size_ = size;
+    words_.assign((size + 63) / 64, 0);
+  }
+
   /// Extracts `count` bits starting at `offset` into a new vector.
   BitVec Slice(std::size_t offset, std::size_t count) const {
+    BitVec out;
+    SliceInto(offset, count, out);
+    return out;
+  }
+
+  /// Allocation-free Slice: `out` becomes the `count` bits at `offset`,
+  /// reusing its capacity.
+  void SliceInto(std::size_t offset, std::size_t count, BitVec& out) const {
     PAIR_DCHECK(offset + count <= size_,
                 "slice [" << offset << ", " << offset + count << ") out of " << size_);
-    BitVec out(count);
-    for (std::size_t i = 0; i < count; ++i) out.Set(i, Get(offset + i));
-    return out;
+    PAIR_DCHECK(&out != this, "SliceInto cannot alias its source");
+    // Reset rather than vector::resize: instantiating resize in this widely
+    // included header changed GCC 12's inlining of std::deque algorithms in
+    // unrelated translation units (the timing controller ran ~7% slower).
+    out.Reset(count);
+    for (std::size_t w = 0; w < out.words_.size(); ++w)
+      out.words_[w] = GetWord(offset + 64 * w, WordBits(count, w));
   }
 
   /// Overwrites bits [offset, offset+src.size()) with `src`.
   void Splice(std::size_t offset, const BitVec& src) {
     PAIR_DCHECK(offset + src.size() <= size_,
                 "splice [" << offset << ", " << offset + src.size() << ") out of " << size_);
-    for (std::size_t i = 0; i < src.size(); ++i) Set(offset + i, src.Get(i));
+    for (std::size_t w = 0; w < src.words_.size(); ++w)
+      SetWord(offset + 64 * w, WordBits(src.size_, w), src.words_[w]);
   }
 
   /// Reads `count` bits (count <= 64) starting at `offset` as an integer,
@@ -115,17 +138,43 @@ class BitVec {
   std::uint64_t GetWord(std::size_t offset, std::size_t count) const noexcept {
     PAIR_DCHECK(count <= 64 && offset + count <= size_,
                 "word access [" << offset << ", +" << count << ") out of " << size_);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < count; ++i)
-      v |= static_cast<std::uint64_t>(Get(offset + i)) << i;
-    return v;
+    if (count == 0) return 0;
+    const std::size_t w = offset >> 6;
+    const auto shift = static_cast<unsigned>(offset & 63);
+    std::uint64_t v = words_[w] >> shift;
+    if (shift + count > 64) v |= words_[w + 1] << (64 - shift);
+    return v & LowMask(count);
   }
 
   /// Writes the low `count` bits of `value` (count <= 64) at `offset`.
   void SetWord(std::size_t offset, std::size_t count, std::uint64_t value) noexcept {
     PAIR_DCHECK(count <= 64 && offset + count <= size_,
                 "word access [" << offset << ", +" << count << ") out of " << size_);
-    for (std::size_t i = 0; i < count; ++i) Set(offset + i, (value >> i) & 1u);
+    if (count == 0) return;
+    const std::uint64_t mask = LowMask(count);
+    value &= mask;
+    const std::size_t w = offset >> 6;
+    const auto shift = static_cast<unsigned>(offset & 63);
+    words_[w] = (words_[w] & ~(mask << shift)) | (value << shift);
+    if (shift + count > 64) {
+      const unsigned spill = 64 - shift;
+      words_[w + 1] = (words_[w + 1] & ~(mask >> spill)) | (value >> spill);
+    }
+  }
+
+  /// Masked overlay: every bit i of this vector for which mask[offset + i]
+  /// is set becomes value[offset + i]; the other bits keep their value.
+  /// `mask` and `value` are equally sized planes that cover
+  /// [offset, offset + size()). One word op per 64 bits.
+  void Overlay(const BitVec& mask, const BitVec& value, std::size_t offset = 0) {
+    PAIR_DCHECK(mask.size_ == value.size_ && offset + size_ <= mask.size_,
+                "overlay [" << offset << ", " << offset + size_ << ") out of "
+                            << mask.size_ << "/" << value.size_);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      const std::size_t count = WordBits(size_, w);
+      const std::uint64_t m = mask.GetWord(offset + 64 * w, count);
+      words_[w] = (words_[w] & ~m) | (value.GetWord(offset + 64 * w, count) & m);
+    }
   }
 
   /// "0101..." rendering, bit 0 first; for diagnostics and test failure text.
@@ -146,6 +195,16 @@ class BitVec {
   }
 
  private:
+  /// Bits of word `w` in use by a `size`-bit vector (64 except the tail).
+  static std::size_t WordBits(std::size_t size, std::size_t w) noexcept {
+    const std::size_t rest = size - 64 * w;
+    return rest < 64 ? rest : 64;
+  }
+
+  static std::uint64_t LowMask(std::size_t count) noexcept {
+    return count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+  }
+
   void MaskTail() noexcept {
     const std::size_t tail = size_ & 63;
     if (tail != 0 && !words_.empty())

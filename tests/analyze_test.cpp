@@ -507,5 +507,26 @@ TEST(AnalyzeConfig, DefaultLayeringDagIsClosed) {
           << module << " depends on unknown module " << dep;
 }
 
+// The default HOT scope covers the storage-to-codec path: a BitVec local in
+// Device::ReadBitsInto or in PAIR's staging routine is a finding, while the
+// same code in a cold function of those files is not.
+TEST(AnalyzeConfig, DefaultHotScopeCoversStoragePath) {
+  const Analyzer analyzer =
+      Analyzer::WithDefaultRules(AnalyzerConfig::Default());
+  const std::string body =
+      "(unsigned n, util::BitVec& out) {\n"
+      "  util::BitVec tmp(n);\n  out = tmp;\n}\n";
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile::FromString(
+      "src/dram/device.cpp", "void Device::ReadBitsInto" + body));
+  files.push_back(SourceFile::FromString(
+      "src/core/pair_scheme.cpp", "void PairScheme::Stage" + body));
+  files.push_back(SourceFile::FromString(
+      "src/core/pair_scheme.cpp", "void PairScheme::Name" + body));
+  const AnalysisResult result = analyzer.Run(files);
+  EXPECT_EQ(RuleIds(result),
+            (std::vector<std::string>{"HOT-LOCAL", "HOT-LOCAL"}));
+}
+
 }  // namespace
 }  // namespace pair_ecc::analyze

@@ -1,9 +1,12 @@
 // DRAM device/rank model tests: geometry math, bit<->place mapping
-// bijectivity, lazy row storage, stuck-at vs transient fault semantics, and
-// rank line assembly.
+// bijectivity, lazy row storage, stuck-at vs transient fault semantics, the
+// stuck-at bit planes, and rank line assembly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 #include <tuple>
 
@@ -12,6 +15,27 @@
 #include "dram/geometry.hpp"
 #include "dram/rank.hpp"
 #include "util/rng.hpp"
+
+// Counting global allocator: ReadBitsInto must reuse its caller-owned buffer,
+// which shows as zero allocations across repeated reads. Only the count of
+// operator new calls inside a test's own window is read, so the override is
+// harmless to the other tests in this binary.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+
+void* CountedNew(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedNew(size); }
+void* operator new[](std::size_t size) { return CountedNew(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pair_ecc::dram {
 namespace {
@@ -185,6 +209,129 @@ TEST_F(DeviceTest, StuckCountDoesNotDoubleCount) {
   dev_.SetStuck(0, 0, 1, false);  // re-assign same bit
   EXPECT_EQ(dev_.StuckCount(), 1u);
   EXPECT_FALSE(dev_.ReadBit(0, 0, 1));
+}
+
+// -------------------------------------------------------- stuck-at planes
+
+TEST_F(DeviceTest, PointAndRangedReadsAgreeUnderOverlay) {
+  Xoshiro256 rng(21);
+  const unsigned total = g_.TotalRowBits();
+  dev_.WriteBits(4, 40, 0, BitVec::Random(total, rng));
+  // A sprinkle of single stuck cells plus a whole stuck 100-bit run.
+  for (int i = 0; i < 500; ++i)
+    dev_.SetStuck(4, 40, static_cast<unsigned>(rng.UniformBelow(total)),
+                  rng.Bernoulli(0.5));
+  for (unsigned bit = 3000; bit < 3100; ++bit) dev_.SetStuck(4, 40, bit, true);
+
+  BitVec point(total);
+  for (unsigned bit = 0; bit < total; ++bit)
+    point.Set(bit, dev_.ReadBit(4, 40, bit));
+  EXPECT_EQ(dev_.ReadBits(4, 40, 0, total), point);
+
+  BitVec ranged;
+  for (int i = 0; i < 300; ++i) {
+    const unsigned len = static_cast<unsigned>(rng.UniformBelow(200));
+    const unsigned off =
+        static_cast<unsigned>(rng.UniformBelow(total - len + 1));
+    dev_.ReadBitsInto(4, 40, off, len, ranged);
+    ASSERT_EQ(ranged, point.Slice(off, len)) << "offset " << off << " len " << len;
+    ASSERT_EQ(dev_.ReadBits(4, 40, off, len), ranged);
+  }
+}
+
+TEST_F(DeviceTest, SetStuckTwiceKeepsCountAndTakesTheNewValue) {
+  for (unsigned bit : {0u, 63u, 64u, 8703u}) {
+    dev_.SetStuck(2, 3, bit, true);
+    dev_.SetStuck(2, 3, bit, false);
+  }
+  dev_.SetStuck(2, 4, 64, true);  // same bit index, other row: distinct
+  EXPECT_EQ(dev_.StuckCount(), 5u);
+  for (unsigned bit : {0u, 63u, 64u, 8703u}) {
+    dev_.WriteBit(2, 3, bit, true);
+    EXPECT_FALSE(dev_.ReadBit(2, 3, bit)) << bit;
+  }
+  EXPECT_TRUE(dev_.ReadBit(2, 4, 64));
+}
+
+TEST_F(DeviceTest, PostPackageRepairDropsTheRowsStuckPlanes) {
+  for (unsigned bit = 0; bit < 10; ++bit) dev_.SetStuck(1, 9, bit, true);
+  for (unsigned bit = 0; bit < 3; ++bit) dev_.SetStuck(1, 10, bit, true);
+  EXPECT_EQ(dev_.StuckCount(), 13u);
+  ASSERT_TRUE(dev_.PostPackageRepair(1, 9));
+  EXPECT_EQ(dev_.StuckCount(), 3u);
+  // The spare row is defect-free: writes read back, nothing is stuck.
+  EXPECT_EQ(dev_.ReadBits(1, 9, 0, 64).Popcount(), 0u);
+  dev_.WriteBit(1, 9, 4, false);
+  EXPECT_FALSE(dev_.ReadBit(1, 9, 4));
+  EXPECT_TRUE(dev_.ReadBit(1, 10, 2));  // the neighbour keeps its fault
+}
+
+TEST_F(DeviceTest, ClearStuckRevealsTheLastWrittenData) {
+  Xoshiro256 rng(22);
+  const unsigned total = g_.TotalRowBits();
+  dev_.WriteBits(0, 5, 0, BitVec::Random(total, rng));
+  BitVec stuck_mask(total);
+  for (int i = 0; i < 400; ++i) {
+    const auto bit = static_cast<unsigned>(rng.UniformBelow(total));
+    stuck_mask.Set(bit, true);
+    dev_.SetStuck(0, 5, bit, rng.Bernoulli(0.5));
+  }
+  // Every write path reaches the storage under stuck cells.
+  BitVec written = BitVec::Random(total, rng);
+  dev_.WriteBits(0, 5, 0, written);
+  const BitVec masked_bits = BitVec::Random(total, rng);
+  const BitVec write_mask = BitVec::Random(total, rng);
+  dev_.WriteRowMasked(0, 5, masked_bits, write_mask);
+  written.Overlay(write_mask, masked_bits);
+  for (unsigned bit = 0; bit < total; bit += 97) {
+    dev_.WriteBit(0, 5, bit, !written.Get(bit));
+    written.Set(bit, !written.Get(bit));
+  }
+  const BitVec read = dev_.ReadBits(0, 5, 0, total);
+  for (unsigned bit = 0; bit < total; ++bit) {
+    if (!stuck_mask.Get(bit)) {
+      ASSERT_EQ(read.Get(bit), written.Get(bit)) << bit;
+    }
+  }
+
+  dev_.ClearStuck();
+  EXPECT_EQ(dev_.StuckCount(), 0u);
+  EXPECT_EQ(dev_.ReadBits(0, 5, 0, total), written);
+}
+
+TEST_F(DeviceTest, WriteRowMaskedTouchesOnlyMaskedBits) {
+  Xoshiro256 rng(23);
+  const unsigned total = g_.TotalRowBits();
+  const BitVec before = BitVec::Random(total, rng);
+  dev_.WriteBits(3, 3, 0, before);
+  BitVec mask(total);
+  for (unsigned bit = 100; bit < 300; ++bit) mask.Set(bit, true);
+  const BitVec bits = BitVec::Random(total, rng);
+  dev_.WriteRowMasked(3, 3, bits, mask);
+  BitVec want = before;
+  want.Overlay(mask, bits);
+  EXPECT_EQ(dev_.ReadBits(3, 3, 0, total), want);
+  EXPECT_THROW(dev_.WriteRowMasked(3, 3, BitVec(64), BitVec(64)),
+               std::invalid_argument);
+}
+
+TEST_F(DeviceTest, ReadBitsIntoReusesItsBuffer) {
+  Xoshiro256 rng(24);
+  const unsigned total = g_.TotalRowBits();
+  dev_.WriteBits(0, 1, 0, BitVec::Random(total, rng));
+  dev_.SetStuck(0, 1, 77, true);  // row with planes
+  dev_.WriteBits(0, 2, 0, BitVec::Random(total, rng));  // row without
+  BitVec out;
+  dev_.ReadBitsInto(0, 1, 0, total, out);  // grows the buffer once
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    dev_.ReadBitsInto(0, 1, 0, total, out);
+    dev_.ReadBitsInto(0, 2, 64, total - 64, out);
+    dev_.ReadBitsInto(0, 1, 5, 300, out);
+    dev_.ReadBitsInto(9, 9, 0, total, out);  // never-written row
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(out, BitVec(total));
 }
 
 // ---------------------------------------------------------------------- Rank

@@ -293,6 +293,91 @@ TEST(RsBatchTest, DecodeBatchMatchesPerLineForEveryKernelAndShape) {
   }
 }
 
+TEST(RsBatchTest, DecodeBatchWithPerLaneErasuresMatchesPerLine) {
+  // Lanes carrying erasure lists take the scalar errors-and-erasures
+  // decoder, clean or not: a clean lane with more than r erasures is a
+  // failure, exactly as per-line Decode reports it. The pre-decode
+  // syndromes stay in scratch.batch_syn for the caller.
+  Xoshiro256 rng(0xE7A5E);
+  for (rs::RsCode code : AllCodes()) {
+    SCOPED_TRACE("n=" + std::to_string(code.n()) +
+                 " k=" + std::to_string(code.k()));
+    const unsigned lines = 24;
+    rs::CodewordBlock block;
+    auto store = RandomBlock(code, lines, rng, block);
+    code.UseKernelsForTest(ScalarKernels());
+    code.EncodeBatchInto(block);
+
+    std::vector<std::vector<unsigned>> lists(lines);
+    for (unsigned l = 0; l < lines; ++l) {
+      const unsigned errs = rng.UniformBelow(code.t() + 2);
+      std::set<unsigned> positions;
+      while (positions.size() < errs)
+        positions.insert(static_cast<unsigned>(rng.UniformBelow(code.n())));
+      for (unsigned pos : positions)
+        block.Row(pos)[l] ^= static_cast<Elem>(
+            1 + rng.UniformBelow(code.field().Size() - 1));
+      // Lane fates: no list, the error positions (+ one clean symbol), or
+      // more erasures than check symbols.
+      switch (l % 3) {
+        case 0:
+          break;
+        case 1:
+          lists[l].assign(positions.begin(), positions.end());
+          if (positions.count(0) == 0) lists[l].push_back(0);
+          break;
+        case 2:
+          for (unsigned pos = 0; pos <= code.r(); ++pos) lists[l].push_back(pos);
+          break;
+      }
+    }
+    std::vector<std::span<const unsigned>> erasures(lists.begin(), lists.end());
+
+    std::vector<std::vector<Elem>> want_words(lines);
+    std::vector<rs::BatchLineResult> want(lines);
+    std::vector<Elem> want_syn(std::size_t{code.r()} * lines);
+    std::vector<Elem> syn(code.r());
+    rs::DecodeScratch oracle_scratch;
+    for (unsigned l = 0; l < lines; ++l) {
+      want_words[l].resize(code.n());
+      for (unsigned i = 0; i < code.n(); ++i)
+        want_words[l][i] = block.Row(i)[l];
+      code.SyndromesInto(want_words[l], syn);
+      for (unsigned j = 0; j < code.r(); ++j)
+        want_syn[std::size_t{j} * lines + l] = syn[j];
+      const rs::DecodeStatus st =
+          code.Decode(want_words[l], lists[l], oracle_scratch);
+      want[l] = {st, st == rs::DecodeStatus::kCorrected
+                         ? oracle_scratch.NumCorrected()
+                         : 0u};
+    }
+
+    for (const BatchKernels* k : CompiledKernels()) {
+      if (!KernelRunnable(*k)) continue;
+      SCOPED_TRACE(k->name);
+      std::vector<Elem> copy = store;
+      rs::CodewordBlock b{copy.data(), lines, code.n(), lines};
+      code.UseKernelsForTest(*k);
+      std::vector<rs::BatchLineResult> got(lines);
+      rs::DecodeScratch scratch;
+      code.DecodeBatch(b, got, scratch, erasures);
+      EXPECT_EQ(scratch.batch_syn, want_syn);
+      for (unsigned l = 0; l < lines; ++l) {
+        ASSERT_EQ(got[l].status, want[l].status) << "lane " << l;
+        ASSERT_EQ(got[l].corrected, want[l].corrected) << "lane " << l;
+        for (unsigned i = 0; i < code.n(); ++i)
+          ASSERT_EQ(b.Row(i)[l], want_words[l][i])
+              << "lane " << l << " pos " << i;
+      }
+    }
+    EXPECT_THROW(
+        code.DecodeBatch(block, want, oracle_scratch,
+                         std::span<const std::span<const unsigned>>(
+                             erasures.data(), lines - 1)),
+        std::invalid_argument);
+  }
+}
+
 TEST(RsBatchTest, BatchOfOneIsThePerLinePath) {
   // The per-line API is literally a batch of one — spot-check the layout
   // contract that makes that true (stride 1, lines 1).

@@ -1,8 +1,12 @@
 // PAIR-specific behaviour: pin alignment and containment, burst-error
 // correction, delta-parity write-path consistency, erasure repair lists,
-// patrol scrubbing, expandability variants, and the scrub-on-write
-// ablation mode.
+// patrol scrubbing, expandability variants, the scrub-on-write ablation
+// mode, and a bit-level reference model that checks the staged data path.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
@@ -231,6 +235,52 @@ TEST_F(PairTest, ScrubRowClearsAccumulatedTransients) {
   EXPECT_EQ(r.data, line);
 }
 
+TEST_F(PairTest, CleanWriteRewritesOnlyChangedSymbols) {
+  // Under a stuck cell the stored bit can differ from what reads return.
+  // The delta-parity write must store exactly the symbols whose value
+  // changes: rewriting an unchanged symbol would replace such a hidden bit
+  // with the read value, which shows once the overlay is cleared.
+  Xoshiro256 rng(108);
+  const Address addr{1, 11, 21};
+  const BitVec old_line = WriteRandom(addr, rng);
+  const unsigned pins = rg_.device.dq_pins;
+  // One hidden cell per (device, pin) symbol of the column: stuck at its
+  // current value (the codeword stays clean), storage flipped beneath it.
+  std::map<std::pair<unsigned, unsigned>, unsigned> hidden;  // -> row bit
+  for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
+    for (unsigned pin = 0; pin < pins; ++pin) {
+      const unsigned bit = dram::PinLineBit(
+          rg_.device, pin, addr.col * 8 + static_cast<unsigned>(rng.UniformBelow(8)));
+      auto& dev = rank_.device(d);
+      const bool value = dev.ReadBit(addr.bank, addr.row, bit);
+      dev.SetStuck(addr.bank, addr.row, bit, value);
+      dev.WriteBit(addr.bank, addr.row, bit, !value);
+      hidden[{d, pin}] = bit;
+    }
+  }
+  // The new line changes the symbols of even pins only.
+  BitVec new_line = old_line;
+  for (unsigned d = 0; d < rank_.DataDevices(); ++d)
+    for (unsigned pin = 0; pin < pins; pin += 2)
+      new_line.Flip(d * rg_.device.AccessBits() + 3 * pins + pin);
+  scheme_.WriteLine(addr, new_line);
+
+  rank_.ClearStuck();
+  for (const auto& [where, bit] : hidden) {
+    const auto [d, pin] = where;
+    const unsigned beat = dram::PinLineIndex(rg_.device, bit) - addr.col * 8;
+    const bool stored = rank_.device(d).ReadBit(addr.bank, addr.row, bit);
+    const bool written =
+        new_line.Get(d * rg_.device.AccessBits() + beat * pins + pin);
+    if (pin % 2 == 0) {
+      EXPECT_EQ(stored, written) << "changed symbol d" << d << " pin " << pin;
+    } else {
+      EXPECT_NE(stored, written) << "unchanged symbol d" << d << " pin " << pin
+                                 << " was rewritten";
+    }
+  }
+}
+
 TEST(PairVariants, Pair2GeometryAndSingleSymbolCorrection) {
   RankGeometry rg;
   Rank rank(rg);
@@ -401,6 +451,400 @@ TEST_P(PairWidthTest, AlignedBurstCorrectedAtEveryWidth) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, PairWidthTest,
                          ::testing::Values(4u, 8u, 16u));
+
+// ------------------------------------------------ bit-level reference model
+//
+// An independent PAIR implementation that reads and writes the array one bit
+// at a time (Device::ReadBit/WriteBit through dram::PinLineBit) and decodes
+// one codeword at a time with the allocating rs::RsCode::Decode. It shares
+// no gather, staging or write-back code with PairScheme, so comparing the
+// two on twin ranks checks the transpose gather, the staged block and the
+// masked write-back against the layout's definition.
+
+class ReferencePair {
+ public:
+  ReferencePair(Rank& rank, const PairConfig& config)
+      : rank_(rank),
+        g_(rank.geometry().device),
+        config_(config),
+        code_(rs::RsCode::Gf256(config.data_symbols + config.check_symbols,
+                                config.data_symbols)),
+        cw_per_pin_(g_.PinLineBits() / 8 / config.data_symbols),
+        spc_(g_.burst_length / 8) {}
+
+  void MarkSymbolErased(unsigned d, unsigned pin, unsigned w, unsigned pos) {
+    auto& list = erasures_[{d, pin, w}];
+    if (std::find(list.begin(), list.end(), pos) == list.end())
+      list.push_back(pos);
+  }
+
+  ecc::ReadResult ReadLine(const Address& addr) const {
+    ecc::ReadResult result;
+    result.data = BitVec(rank_.geometry().LineBits());
+    const unsigned k = code_.k();
+    const unsigned s0 = addr.col * spc_;
+    const unsigned wb = config_.decode_full_pin_line ? 0 : s0 / k;
+    const unsigned we =
+        config_.decode_full_pin_line ? cw_per_pin_ - 1 : (s0 + spc_ - 1) / k;
+    for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
+      for (unsigned pin = 0; pin < g_.dq_pins; ++pin) {
+        for (unsigned w = wb; w <= we; ++w) {
+          std::vector<gf::Elem> word = Gather(d, addr, pin, w);
+          const rs::DecodeResult dr = code_.Decode(word, Erasures(d, pin, w));
+          if (dr.status == rs::DecodeStatus::kCorrected) {
+            if (result.claim != Claim::kDetected)
+              result.claim = Claim::kCorrected;
+            result.corrected_units += dr.NumCorrected();
+          } else if (dr.status == rs::DecodeStatus::kFailure) {
+            result.claim = Claim::kDetected;
+          }
+          for (unsigned q = 0; q < spc_; ++q) {
+            const unsigned s = s0 + q;
+            if (s / k != w) continue;
+            for (unsigned j = 0; j < 8; ++j)
+              result.data.Set(LineBit(d, q, j, pin), (word[s % k] >> j) & 1u);
+          }
+        }
+      }
+    }
+    return result;
+  }
+
+  void WriteLine(const Address& addr, const BitVec& line) {
+    const unsigned k = code_.k();
+    const unsigned s0 = addr.col * spc_;
+    for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
+      for (unsigned pin = 0; pin < g_.dq_pins; ++pin) {
+        for (unsigned w = s0 / k; w <= (s0 + spc_ - 1) / k; ++w) {
+          std::vector<gf::Elem> word = Gather(d, addr, pin, w);
+          if (!config_.scrub_on_write && code_.IsCodeword(word)) {
+            // Delta parity: store the changed symbols and, if any, parity.
+            bool changed = false;
+            for (unsigned q = 0; q < spc_; ++q) {
+              const unsigned s = s0 + q;
+              if (s / k != w) continue;
+              const gf::Elem sym = LineSymbol(line, d, q, pin);
+              const gf::Elem delta = word[s % k] ^ sym;
+              if (delta == 0) continue;
+              word[s % k] = sym;
+              const auto pd = code_.ParityDelta(s % k, delta);
+              for (unsigned j = 0; j < pd.size(); ++j) word[k + j] ^= pd[j];
+              StoreSymbol(d, addr, pin, w, s % k, sym);
+              changed = true;
+            }
+            if (changed)
+              for (unsigned j = 0; j < code_.r(); ++j)
+                StoreSymbol(d, addr, pin, w, k + j, word[k + j]);
+            continue;
+          }
+          code_.Decode(word, Erasures(d, pin, w));
+          for (unsigned q = 0; q < spc_; ++q) {
+            const unsigned s = s0 + q;
+            if (s / k == w) word[s % k] = LineSymbol(line, d, q, pin);
+          }
+          const auto parity = code_.ComputeParity(
+              std::span<const gf::Elem>(word.data(), k));
+          std::copy(parity.begin(), parity.end(), word.begin() + k);
+          for (unsigned i = 0; i < code_.n(); ++i)
+            StoreSymbol(d, addr, pin, w, i, word[i]);
+        }
+      }
+    }
+  }
+
+  void ScrubLine(const Address& addr) {
+    const unsigned s0 = addr.col * spc_;
+    Scrub(addr, s0 / code_.k(), (s0 + spc_ - 1) / code_.k());
+  }
+
+  PairScheme::ScrubStats ScrubRow(unsigned bank, unsigned row) {
+    return Scrub({bank, row, 0}, 0, cw_per_pin_ - 1);
+  }
+
+ private:
+  PairScheme::ScrubStats Scrub(const Address& addr, unsigned wb, unsigned we) {
+    PairScheme::ScrubStats stats;
+    for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
+      for (unsigned pin = 0; pin < g_.dq_pins; ++pin) {
+        for (unsigned w = wb; w <= we; ++w) {
+          ++stats.codewords;
+          std::vector<gf::Elem> word = Gather(d, addr, pin, w);
+          const auto dr = code_.Decode(word, Erasures(d, pin, w));
+          if (dr.status == rs::DecodeStatus::kFailure) ++stats.uncorrectable;
+          if (dr.status != rs::DecodeStatus::kCorrected) continue;
+          ++stats.corrected;
+          for (unsigned i = 0; i < code_.n(); ++i)
+            StoreSymbol(d, addr, pin, w, i, word[i]);
+        }
+      }
+    }
+    return stats;
+  }
+
+  // Row bit of bit j of codeword position i of (pin, w).
+  unsigned SymbolBit(unsigned pin, unsigned w, unsigned i, unsigned j) const {
+    const unsigned k = code_.k();
+    if (i < k) return dram::PinLineBit(g_, pin, (w * k + i) * 8 + j);
+    return g_.row_bits +
+           ((pin * cw_per_pin_ + w) * code_.r() + (i - k)) * 8 + j;
+  }
+
+  std::vector<gf::Elem> Gather(unsigned d, const Address& addr, unsigned pin,
+                               unsigned w) const {
+    std::vector<gf::Elem> word(code_.n());
+    for (unsigned i = 0; i < code_.n(); ++i)
+      for (unsigned j = 0; j < 8; ++j)
+        word[i] = static_cast<gf::Elem>(
+            word[i] | rank_.device(d).ReadBit(addr.bank, addr.row,
+                                              SymbolBit(pin, w, i, j))
+                          << j);
+    return word;
+  }
+
+  void StoreSymbol(unsigned d, const Address& addr, unsigned pin, unsigned w,
+                   unsigned i, gf::Elem value) {
+    for (unsigned j = 0; j < 8; ++j)
+      rank_.device(d).WriteBit(addr.bank, addr.row, SymbolBit(pin, w, i, j),
+                               (value >> j) & 1u);
+  }
+
+  // Line bit of bit j of column symbol q on (device d, pin): beat q*8 + j.
+  unsigned LineBit(unsigned d, unsigned q, unsigned j, unsigned pin) const {
+    return d * g_.AccessBits() + dram::ToBit(g_, {0, q * 8 + j, pin});
+  }
+
+  gf::Elem LineSymbol(const BitVec& line, unsigned d, unsigned q,
+                      unsigned pin) const {
+    gf::Elem v = 0;
+    for (unsigned j = 0; j < 8; ++j)
+      v = static_cast<gf::Elem>(v | line.Get(LineBit(d, q, j, pin)) << j);
+    return v;
+  }
+
+  std::span<const unsigned> Erasures(unsigned d, unsigned pin,
+                                     unsigned w) const {
+    const auto it = erasures_.find({d, pin, w});
+    return it == erasures_.end() ? std::span<const unsigned>{}
+                                 : std::span<const unsigned>(it->second);
+  }
+
+  Rank& rank_;
+  dram::DeviceGeometry g_;
+  PairConfig config_;
+  rs::RsCode code_;
+  unsigned cw_per_pin_;
+  unsigned spc_;
+  std::map<std::tuple<unsigned, unsigned, unsigned>, std::vector<unsigned>>
+      erasures_;
+};
+
+struct OracleCase {
+  const char* name;
+  RankGeometry geometry;
+  PairConfig config;
+};
+
+RankGeometry WidthGeometry(unsigned pins) {
+  RankGeometry rg;
+  rg.device.dq_pins = pins;
+  rg.data_devices = 64 / pins;
+  return rg;
+}
+
+RankGeometry Ddr5Geometry() {
+  RankGeometry rg;
+  rg.device = dram::DeviceGeometry::Ddr5x8();
+  rg.data_devices = 4;
+  return rg;
+}
+
+RankGeometry Hbm3Geometry() {
+  RankGeometry rg;
+  rg.device = dram::DeviceGeometry::Hbm3();
+  rg.data_devices = 4;
+  return rg;
+}
+
+PairConfig ScrubOnWrite() {
+  PairConfig c = PairConfig::Pair4();
+  c.scrub_on_write = true;
+  return c;
+}
+
+PairConfig CoveringOnly() {
+  PairConfig c = PairConfig::Pair2();
+  c.decode_full_pin_line = false;
+  return c;
+}
+
+class PairOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(PairOracleTest, StagedPathMatchesBitLevelReference) {
+  const OracleCase& tc = GetParam();
+  const RankGeometry& rg = tc.geometry;
+  const auto& g = rg.device;
+  Rank rank(rg);
+  Rank ref_rank(rg);
+  PairScheme scheme(rank, tc.config);
+  ReferencePair ref(ref_rank, tc.config);
+  Xoshiro256 rng(0x0AC1E);
+
+  const unsigned rows[] = {3, 4};
+  const auto random_addr = [&] {
+    return Address{1, rows[rng.UniformBelow(2)],
+                   static_cast<unsigned>(rng.UniformBelow(g.ColumnsPerRow()))};
+  };
+  const auto expect_same_rows = [&](const char* when) {
+    for (unsigned d = 0; d < rank.DataDevices(); ++d)
+      for (unsigned row : rows)
+        ASSERT_EQ(rank.device(d).ReadBits(1, row, 0, g.TotalRowBits()),
+                  ref_rank.device(d).ReadBits(1, row, 0, g.TotalRowBits()))
+            << tc.name << " " << when << ": device " << d << " row " << row;
+  };
+  const auto expect_same_read = [&](const ecc::ReadResult& got,
+                                    const Address& addr, const char* how) {
+    const ecc::ReadResult want = ref.ReadLine(addr);
+    ASSERT_EQ(got.claim, want.claim) << tc.name << " " << how << " col " << addr.col;
+    ASSERT_EQ(got.corrected_units, want.corrected_units)
+        << tc.name << " " << how << " col " << addr.col;
+    ASSERT_EQ(got.data, want.data) << tc.name << " " << how << " col " << addr.col;
+  };
+
+  // Fill both rows, then layer faults on both ranks identically: a flip
+  // soup over data and spare bits, scattered stuck cells, a stuck pin line
+  // on one device, and on another a row frozen at its current contents
+  // with flips hidden beneath it (reads stay clean while the storage
+  // differs, which only a write that stores too much would disturb).
+  for (unsigned row : rows) {
+    for (unsigned col = 0; col < g.ColumnsPerRow(); ++col) {
+      const BitVec line = BitVec::Random(rg.LineBits(), rng);
+      scheme.WriteLine({1, row, col}, line);
+      ref.WriteLine({1, row, col}, line);
+    }
+  }
+  expect_same_rows("after fill");
+  const auto both = [&](auto&& fn) {
+    fn(rank);
+    fn(ref_rank);
+  };
+  for (int f = 0; f < 60; ++f) {
+    const unsigned d = static_cast<unsigned>(rng.UniformBelow(rank.DataDevices()));
+    const unsigned row = rows[rng.UniformBelow(2)];
+    const unsigned bit = static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits()));
+    if (f % 3 == 0) {
+      const bool v = rng.Bernoulli(0.5);
+      both([&](Rank& r) { r.device(d).SetStuck(1, row, bit, v); });
+    } else {
+      both([&](Rank& r) { r.device(d).InjectFlip(1, row, bit); });
+    }
+  }
+  for (unsigned i = 0; i < g.PinLineBits(); ++i) {
+    const bool v = rng.Bernoulli(0.5);
+    both([&](Rank& r) {
+      r.device(0).SetStuck(1, 3, dram::PinLineBit(g, g.dq_pins - 1, i), v);
+    });
+  }
+  const unsigned frozen = 1 % rank.DataDevices();
+  for (unsigned bit = 0; bit < g.TotalRowBits(); ++bit) {
+    const bool v = rank.device(frozen).ReadBit(1, 4, bit);
+    both([&](Rank& r) { r.device(frozen).SetStuck(1, 4, bit, v); });
+  }
+  for (int f = 0; f < 40; ++f) {
+    const unsigned bit = static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits()));
+    both([&](Rank& r) { r.device(frozen).InjectFlip(1, 4, bit); });
+  }
+  // Registered erasures, some of them beyond r for their codeword.
+  for (int e = 0; e < 12; ++e) {
+    const unsigned d = static_cast<unsigned>(rng.UniformBelow(rank.DataDevices()));
+    const unsigned pin = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));
+    const unsigned w =
+        static_cast<unsigned>(rng.UniformBelow(scheme.CodewordsPerPin()));
+    const unsigned n_pos = e % 4 == 0 ? scheme.code().r() + 1 : 1 + e % 3;
+    for (unsigned i = 0; i < n_pos; ++i) {
+      const unsigned pos =
+          static_cast<unsigned>(rng.UniformBelow(scheme.code().n()));
+      scheme.MarkSymbolErased(d, pin, w, pos);
+      ref.MarkSymbolErased(d, pin, w, pos);
+    }
+  }
+
+  // A random mix of every entry point.
+  std::vector<ecc::ReadResult> batch(5);
+  for (int op = 0; op < 40; ++op) {
+    switch (op % 6) {
+      case 0: {
+        const Address addr = random_addr();
+        expect_same_read(scheme.ReadLine(addr), addr, "ReadLine");
+        break;
+      }
+      case 1: {
+        std::vector<Address> addrs;
+        for (std::size_t i = 0; i < batch.size(); ++i) addrs.push_back(random_addr());
+        scheme.ReadLines(addrs, batch);
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+          expect_same_read(batch[i], addrs[i], "ReadLines");
+        break;
+      }
+      case 2: {
+        // A partial update of what the line reads now: most symbols keep
+        // their value, so the delta path has unchanged symbols to skip.
+        const Address addr = random_addr();
+        BitVec line = ref.ReadLine(addr).data;
+        for (int i = 0; i < 3; ++i)
+          line.Flip(static_cast<unsigned>(rng.UniformBelow(rg.LineBits())));
+        scheme.WriteLine(addr, line);
+        ref.WriteLine(addr, line);
+        break;
+      }
+      case 3: {
+        std::vector<Address> addrs;
+        std::vector<BitVec> lines;
+        for (int i = 0; i < 4; ++i) {
+          addrs.push_back(random_addr());
+          lines.push_back(BitVec::Random(rg.LineBits(), rng));
+        }
+        addrs[3] = addrs[0];  // same line twice in one batch
+        scheme.WriteLines(addrs, lines);
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+          ref.WriteLine(addrs[i], lines[i]);
+        break;
+      }
+      case 4: {
+        const Address addr = random_addr();
+        scheme.ScrubLine(addr);
+        ref.ScrubLine(addr);
+        break;
+      }
+      case 5: {
+        const unsigned row = rows[rng.UniformBelow(2)];
+        const auto got = scheme.ScrubRow(1, row);
+        const auto want = ref.ScrubRow(1, row);
+        ASSERT_EQ(got.codewords, want.codewords) << tc.name;
+        ASSERT_EQ(got.corrected, want.corrected) << tc.name;
+        ASSERT_EQ(got.uncorrectable, want.uncorrectable) << tc.name;
+        break;
+      }
+    }
+    expect_same_rows("during ops");
+  }
+  // The storage under the stuck cells must agree too.
+  rank.ClearStuck();
+  ref_rank.ClearStuck();
+  expect_same_rows("after ClearStuck");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PairOracleTest,
+    ::testing::Values(
+        OracleCase{"x4", WidthGeometry(4), PairConfig::Pair4()},
+        OracleCase{"x8", WidthGeometry(8), PairConfig::Pair4()},
+        OracleCase{"x8_pair2_covering", WidthGeometry(8), CoveringOnly()},
+        OracleCase{"x8_scrub_on_write", WidthGeometry(8), ScrubOnWrite()},
+        OracleCase{"x16", WidthGeometry(16), PairConfig::Pair4()},
+        OracleCase{"ddr5_bl16", Ddr5Geometry(), PairConfig::Pair4()},
+        OracleCase{"ddr5_bl16_scrub_on_write", Ddr5Geometry(), ScrubOnWrite()},
+        OracleCase{"hbm3", Hbm3Geometry(), PairConfig::Pair4()}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(PairExpandability, WiderKLowersOverheadAndStillWorks) {
   // k = 128: one codeword per pin, overhead 4/128 = 3.1% — half the budget.

@@ -196,6 +196,140 @@ TEST(BitVec, GetWordSetWordRoundTrip) {
   EXPECT_EQ(v.GetWord(60, 10), 0x3FFull);
 }
 
+// Bit-loop references for the word-level BitVec operations: each reads or
+// writes one bit at a time through Get/Set, so they share no code with the
+// shift/mask implementations under test.
+
+std::uint64_t RefGetWord(const BitVec& v, std::size_t offset, std::size_t count) {
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < count; ++i)
+    word |= static_cast<std::uint64_t>(v.Get(offset + i)) << i;
+  return word;
+}
+
+void RefSetWord(BitVec& v, std::size_t offset, std::size_t count,
+                std::uint64_t value) {
+  for (std::size_t i = 0; i < count; ++i) v.Set(offset + i, (value >> i) & 1u);
+}
+
+BitVec RefSlice(const BitVec& v, std::size_t offset, std::size_t count) {
+  BitVec out(count);
+  for (std::size_t i = 0; i < count; ++i) out.Set(i, v.Get(offset + i));
+  return out;
+}
+
+void RefSplice(BitVec& v, std::size_t offset, const BitVec& src) {
+  for (std::size_t i = 0; i < src.size(); ++i) v.Set(offset + i, src.Get(i));
+}
+
+// Every offset in 0..191 paired with every count in 0..64 (so ranges
+// straddle word boundaries at every shift), plus a few multi-word counts,
+// restricted to ranges that fit `size` bits.
+template <typename Fn>
+void ForEachRange(std::size_t size, Fn&& fn) {
+  static constexpr std::size_t kLongCounts[] = {65, 100, 127, 128, 129, 190};
+  for (std::size_t offset = 0; offset < 192; ++offset) {
+    for (std::size_t count = 0; count <= 64; ++count)
+      if (offset + count <= size) fn(offset, count);
+    for (std::size_t count : kLongCounts)
+      if (offset + count <= size) fn(offset, count);
+  }
+}
+
+// Sizes that leave a partial tail word (and one that does not).
+constexpr std::size_t kDiffSizes[] = {200, 256, 259};
+
+TEST(BitVecDifferential, GetWordMatchesBitLoop) {
+  Xoshiro256 rng(41);
+  for (std::size_t size : kDiffSizes) {
+    const BitVec v = BitVec::Random(size, rng);
+    ForEachRange(size, [&](std::size_t offset, std::size_t count) {
+      if (count > 64) return;
+      ASSERT_EQ(v.GetWord(offset, count), RefGetWord(v, offset, count))
+          << "size " << size << " offset " << offset << " count " << count;
+    });
+  }
+}
+
+TEST(BitVecDifferential, SetWordMatchesBitLoop) {
+  Xoshiro256 rng(43);
+  for (std::size_t size : kDiffSizes) {
+    const BitVec base = BitVec::Random(size, rng);
+    ForEachRange(size, [&](std::size_t offset, std::size_t count) {
+      if (count > 64) return;
+      // Bits above `count` are set too: SetWord must ignore them.
+      const std::uint64_t value = rng();
+      BitVec got = base;
+      got.SetWord(offset, count, value);
+      BitVec want = base;
+      RefSetWord(want, offset, count, value);
+      ASSERT_EQ(got, want) << "size " << size << " offset " << offset
+                           << " count " << count;
+    });
+  }
+}
+
+TEST(BitVecDifferential, SliceMatchesBitLoopAndMasksTail) {
+  Xoshiro256 rng(47);
+  BitVec reused;  // SliceInto target, resized across every range
+  for (std::size_t size : kDiffSizes) {
+    const BitVec v = BitVec::Random(size, rng);
+    ForEachRange(size, [&](std::size_t offset, std::size_t count) {
+      // operator== compares whole words, so a stray bit past `count` in
+      // the last word fails it.
+      const BitVec want = RefSlice(v, offset, count);
+      ASSERT_EQ(v.Slice(offset, count), want)
+          << "size " << size << " offset " << offset << " count " << count;
+      v.SliceInto(offset, count, reused);
+      ASSERT_EQ(reused, want)
+          << "size " << size << " offset " << offset << " count " << count;
+    });
+  }
+}
+
+TEST(BitVecDifferential, SpliceMatchesBitLoopAndMasksTail) {
+  Xoshiro256 rng(53);
+  for (std::size_t size : kDiffSizes) {
+    const BitVec base = BitVec::Random(size, rng);
+    ForEachRange(size, [&](std::size_t offset, std::size_t count) {
+      const BitVec src = BitVec::Random(count, rng);
+      BitVec got = base;
+      got.Splice(offset, src);
+      BitVec want = base;
+      RefSplice(want, offset, src);
+      ASSERT_EQ(got, want) << "size " << size << " offset " << offset
+                           << " count " << count;
+    });
+  }
+}
+
+TEST(BitVecDifferential, OverlayMatchesBitLoop) {
+  Xoshiro256 rng(59);
+  for (std::size_t size : kDiffSizes) {
+    const BitVec mask = BitVec::Random(size, rng);
+    const BitVec value = BitVec::Random(size, rng);
+    ForEachRange(size, [&](std::size_t offset, std::size_t count) {
+      const BitVec base = BitVec::Random(count, rng);
+      BitVec got = base;
+      got.Overlay(mask, value, offset);
+      BitVec want = base;
+      for (std::size_t i = 0; i < count; ++i)
+        if (mask.Get(offset + i)) want.Set(i, value.Get(offset + i));
+      ASSERT_EQ(got, want) << "size " << size << " offset " << offset
+                           << " count " << count;
+    });
+  }
+}
+
+TEST(BitVec, ResetZeroesAndResizes) {
+  Xoshiro256 rng(61);
+  BitVec v = BitVec::Random(300, rng);
+  v.Reset(70);
+  EXPECT_EQ(v, BitVec(70));
+  v.Reset(300);
+  EXPECT_EQ(v, BitVec(300));
+}
+
 TEST(BitVec, RandomMasksTailBits) {
   Xoshiro256 rng(37);
   for (std::size_t size : {1u, 7u, 63u, 65u, 127u}) {

@@ -939,7 +939,8 @@ AnalyzerConfig AnalyzerConfig::Default() {
                             "bench/", "tools/"};
   c.report_writer_headers = {"telemetry/report.hpp", "telemetry/json.hpp",
                              "telemetry/metrics.hpp", "util/table.hpp"};
-  c.hot_file_prefixes = {"src/rs/", "src/gf/"};
+  c.hot_file_prefixes = {"src/rs/", "src/gf/", "src/util/bitvec.hpp",
+                         "src/dram/device.cpp", "src/core/pair_scheme.cpp"};
   c.hot_function_names = {
       "Decode",        "IsCodeword", "SyndromesInto", "EncodeInto",
       "ComputeParityInto", "ParityDeltaInto", "Eval", "Normalize",
@@ -954,7 +955,16 @@ AnalyzerConfig AnalyzerConfig::Default() {
       "PclmulMulAddInto",         "PclmulSyndromeAccumulate",
       "Avx2MulInto",              "Avx2MulAddInto",
       "Avx2SyndromeAccumulate",   "GfniMulInto",
-      "GfniMulAddInto",           "GfniSyndromeAccumulate"};
+      "GfniMulAddInto",           "GfniSyndromeAccumulate",
+      // Storage-to-codec path: word-level BitVec access, the row read into
+      // caller-owned scratch, and PAIR's transpose gather, staged-block
+      // decode and write-back, which run for every PAIR line access.
+      "SliceInto",     "Splice",       "GetWord",     "SetWord",
+      "Overlay",       "ReadBitsInto", "WriteRowMasked",
+      "Transpose8x8",  "LoadTile",     "StoreTile",   "SpreadBytes",
+      "PackBytes",     "Stage",        "DecodeStaged", "StagedClean",
+      "MarkLane",      "WriteBackStaged", "DoWriteLines", "DoReadLines",
+      "DoScrubLine",   "ScrubRow"};
   c.hot_banned_calls = {"Encode", "ComputeParity", "ParityDelta", "Syndromes"};
   c.contract_prefixes = {"src/"};
   c.atomic_write_prefixes = {"src/", "tools/"};

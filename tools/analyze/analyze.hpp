@@ -26,8 +26,10 @@
 //   DET  nondeterminism sources: std::random_device / rand() / srand(),
 //        wall-clock time feeding logic, unordered-container use in any
 //        file on a telemetry/report/golden output path.
-//   HOT  heap allocation inside the RS/GF decode paths and
-//        rs::DecodeScratch consumers (the PR-2 allocation-free contract).
+//   HOT  heap allocation inside the RS/GF decode paths,
+//        rs::DecodeScratch consumers (the PR-2 allocation-free contract)
+//        and the storage-to-codec path that feeds them (word-level BitVec
+//        access, Device::ReadBitsInto, PAIR's gather/stage routines).
 //   LAY  include-layering: each src/ module may include only the modules
 //        below it in the dependency DAG; upward includes are flagged.
 //   CON  span-taking function definitions in src/ must carry a
