@@ -11,13 +11,7 @@ namespace pair_ecc::gf {
 
 namespace {
 
-constexpr std::uint32_t kDefaultPoly8 = 0x11D;
-
 bool FieldIsGf256(const GfField& field) { return field.m() == 8; }
-
-bool FieldIsDefaultGf256(const GfField& field) {
-  return field.m() == 8 && field.poly() == kDefaultPoly8;
-}
 
 bool FieldAny(const GfField&) { return true; }
 
@@ -55,87 +49,6 @@ constexpr BatchKernels kScalar = {
 };
 
 #if PAIR_GF_BATCH_X86
-
-// --------------------------------------------------------------- pclmul
-// Four 16-bit lanes per 64-bit carry-less multiply: each lane holds an
-// 8-bit symbol, so lane * c has degree <= 14 and never crosses a lane
-// boundary. Reduction mod the degree-8 polynomial uses x^8 == red (the low
-// byte of the poly); with red = 0x1D (degree 4) two reduction rounds bring
-// every lane below degree 8, which is why this kernel is gated on the
-// default 0x11D field.
-
-__attribute__((target("pclmul,sse2"))) inline __m128i
-ClmulLanes(__m128i x, __m128i k) {
-  // clmul acts on one 64-bit lane per operand; run both halves and stitch
-  // the low qwords back together (products fit in 64 bits by construction).
-  const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
-  const __m128i hi = _mm_clmulepi64_si128(x, k, 0x01);
-  return _mm_unpacklo_epi64(lo, hi);
-}
-
-__attribute__((target("pclmul,sse2"))) inline __m128i
-PclmulProduct(__m128i v, __m128i cv, __m128i red, __m128i mask8) {
-  const __m128i p = ClmulLanes(v, cv);                      // degree <= 14
-  const __m128i t1 = ClmulLanes(_mm_srli_epi16(p, 8), red); // degree <= 10
-  const __m128i p2 = _mm_xor_si128(_mm_and_si128(p, mask8), t1);
-  const __m128i t2 = ClmulLanes(_mm_srli_epi16(p2, 8), red); // degree <= 6
-  return _mm_xor_si128(_mm_and_si128(p2, mask8), t2);
-}
-
-__attribute__((target("pclmul,sse2"))) void PclmulMulInto(
-    const MulTables& t, const Elem* src, Elem* dst, std::size_t count) {
-  const __m128i cv = _mm_set1_epi64x(t.c);
-  const __m128i red = _mm_set1_epi64x(t.field->poly() & 0xFF);
-  const __m128i mask8 = _mm_set1_epi16(0x00FF);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     PclmulProduct(v, cv, red, mask8));
-  }
-  for (; i < count; ++i) dst[i] = t.field->Mul(t.c, src[i]);
-}
-
-__attribute__((target("pclmul,sse2"))) void PclmulMulAddInto(
-    const MulTables& t, const Elem* src, Elem* dst, std::size_t count) {
-  const __m128i cv = _mm_set1_epi64x(t.c);
-  const __m128i red = _mm_set1_epi64x(t.field->poly() & 0xFF);
-  const __m128i mask8 = _mm_set1_epi16(0x00FF);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(d, PclmulProduct(v, cv, red, mask8)));
-  }
-  for (; i < count; ++i)
-    dst[i] = static_cast<Elem>(dst[i] ^ t.field->Mul(t.c, src[i]));
-}
-
-__attribute__((target("pclmul,sse2"))) void PclmulSyndromeAccumulate(
-    const MulTables& t, const Elem* row, Elem* acc, std::size_t count) {
-  const __m128i cv = _mm_set1_epi64x(t.c);
-  const __m128i red = _mm_set1_epi64x(t.field->poly() & 0xFF);
-  const __m128i mask8 = _mm_set1_epi16(0x00FF);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    const __m128i r =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                     _mm_xor_si128(PclmulProduct(a, cv, red, mask8), r));
-  }
-  for (; i < count; ++i)
-    acc[i] = t.field->Add(t.field->Mul(t.c, acc[i]), row[i]);
-}
-
-constexpr BatchKernels kPclmul = {
-    "pclmul", /*min_lanes=*/8, &FieldIsDefaultGf256,
-    &PclmulMulInto, &PclmulMulAddInto, &PclmulSyndromeAccumulate,
-};
 
 // ----------------------------------------------------------------- avx2
 // Split-nibble PSHUFB over 16-bit lanes: every lane's value is < 256, so
@@ -286,7 +199,6 @@ constexpr const BatchKernels* kCompiled[] = {
 #if PAIR_GF_BATCH_X86
     &kGfni,
     &kAvx2,
-    &kPclmul,
 #endif
     &kScalar,
 };
@@ -330,7 +242,6 @@ const BatchKernels* KernelByName(std::string_view name) {
 bool KernelRunnable(const BatchKernels& kernels) {
   if (&kernels == &kScalar) return true;
 #if PAIR_GF_BATCH_X86
-  if (&kernels == &kPclmul) return __builtin_cpu_supports("pclmul") != 0;
   if (&kernels == &kAvx2) return __builtin_cpu_supports("avx2") != 0;
   if (&kernels == &kGfni)
     return __builtin_cpu_supports("gfni") != 0 &&

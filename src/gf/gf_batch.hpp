@@ -11,18 +11,16 @@
 //
 // Those three ops exist in several implementations ("kernels"): a scalar
 // reference that calls GfField::Mul per element — the bitwise oracle every
-// other kernel must match exactly — plus x86 SIMD variants (PCLMUL, AVX2
+// other kernel must match exactly — plus x86 SIMD variants (AVX2
 // split-nibble PSHUFB, GFNI affine). GF multiplication is exact, so any
 // correct kernel produces identical bits; the differential test in
 // tests/gf_batch_test.cpp enforces it for every compiled-in kernel.
 //
-// Dispatch is by runtime CPUID, best kernel first (gfni > avx2 > pclmul >
-// scalar). The PAIR_GF_KERNEL environment variable pins a kernel by name
+// Dispatch is by runtime CPUID, best kernel first (gfni > avx2 > scalar). The PAIR_GF_KERNEL environment variable pins a kernel by name
 // for testing; an unknown or unsupported name pins the scalar oracle so a
 // forced-fallback CI leg behaves identically on any machine. SIMD kernels
-// only apply to fields they support (m == 8; PCLMUL additionally requires
-// the default 0x11D polynomial its two-step reduction is derived for) —
-// SelectKernels() returns scalar for every other field.
+// only apply to fields they support (m == 8) — SelectKernels() returns
+// scalar for every other field.
 //
 // Per-constant preparation (split-nibble product tables, the GFNI bit
 // matrix) is factored into MulTables so callers can amortize it: the RS
@@ -85,7 +83,7 @@ std::span<const BatchKernels* const> CompiledKernels();
 /// The scalar reference kernel (always compiled, always runnable).
 const BatchKernels& ScalarKernels();
 
-/// Compiled-in kernel by name ("scalar", "pclmul", "avx2", "gfni");
+/// Compiled-in kernel by name ("scalar", "avx2", "gfni");
 /// nullptr when the name is unknown or the kernel is not compiled in.
 const BatchKernels* KernelByName(std::string_view name);
 

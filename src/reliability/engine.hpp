@@ -7,18 +7,25 @@
 //
 //  * Per-trial RNG streams are derived counter-style from (seed,
 //    trial_index): a master Xoshiro256(seed) stream supplies trial i's
-//    64-bit sub-seed as its i-th output (precomputed up front, so workers
-//    never touch a shared generator), and the trial's Xoshiro256 state is
-//    expanded from that sub-seed via SplitMix64. Trial i therefore draws an
-//    identical stream no matter which worker runs it — and the stream is
-//    bit-for-bit the one the original serial loop produced with
-//    `master.Fork()`, which is what pins the pre-refactor golden values.
+//    64-bit sub-seed as its i-th output, and the trial's Xoshiro256 state
+//    is expanded from that sub-seed via SplitMix64. Sub-seeds are drawn at
+//    claim time: under one lock a worker claims the next shard and draws
+//    that shard's sub-seeds, so claims are dense and in shard order and the
+//    master stream is consumed exactly as the original serial loop's
+//    `master.Fork()` did — which is what pins the pre-refactor golden
+//    values. Which worker runs a trial cannot affect its draws.
 //  * Trials are grouped into fixed-size shards (kShardTrials, independent
 //    of the thread count). Each shard accumulates into its own
-//    default-constructed Result, and shard results are reduced serially in
-//    shard order with `operator+=`. The reduction tree is thus a function
-//    of (trials) alone, so results are bitwise identical for any thread
-//    count — including floating-point accumulators.
+//    default-constructed Result, and completed shards are handed to an
+//    observer strictly in shard order. Run's observer is `total += r`, so
+//    the reduction tree is a function of (trials) alone and results are
+//    bitwise identical for any thread count — including floating-point
+//    accumulators.
+//  * There is one executor, RunShardsObserved; Run and RunWithScratch are
+//    reduces over it and the campaign runner observes it directly. Its
+//    memory is bounded by the thread count: no per-trial or per-shard state
+//    outlives the shard, except per-shard wall times when metrics are
+//    requested.
 //  * Workers share nothing mutable: each trial constructs its own
 //    dram::Rank + Scheme (via TrialContext below), and read-only inputs
 //    (config, working set) are captured by const reference.
@@ -29,10 +36,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,8 +55,8 @@
 
 namespace pair_ecc::reliability {
 
-/// Wall-clock observations of one TrialEngine::Run — throughput, per-shard
-/// times, and load balance. Timing is inherently non-deterministic, so
+/// Wall-clock observations of one engine run (Run or RunShardsObserved) —
+/// throughput, per-shard times, and load balance. Timing is inherently non-deterministic, so
 /// report serialisers place these in the separable "timing" section that
 /// determinism tests and bench_diff ignore by default. Collecting them
 /// never perturbs the trial result: the engine only reads clocks, never the
@@ -143,80 +152,20 @@ class TrialEngine {
   template <typename Result, typename Scratch, typename Body>
   Result RunWithScratch(std::uint64_t seed, std::uint64_t trials, Body&& body,
                         EngineMetrics* metrics = nullptr) const {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point run_start = Clock::now();
-
-    // Per-trial sub-seeds, in trial order, from the master stream. This is
-    // exactly the sequence the serial `master.Fork()` loop consumed.
-    std::vector<std::uint64_t> trial_seeds(trials);
-    util::Xoshiro256 master(seed);
-    for (auto& s : trial_seeds) s = master();
-
-    const std::uint64_t shards = (trials + kShardTrials - 1) / kShardTrials;
-    std::vector<Result> shard_results(shards);
-    // Each shard is run by exactly one worker, so per-shard slots need no
-    // synchronisation beyond the pool join.
-    std::vector<double> shard_seconds(metrics != nullptr ? shards : 0);
-
-    auto run_shard = [&](std::uint64_t shard) {
-      const Clock::time_point shard_start =
-          metrics != nullptr ? Clock::now() : Clock::time_point{};
-      const std::uint64_t begin = shard * kShardTrials;
-      const std::uint64_t end = std::min(begin + kShardTrials, trials);
-      Scratch scratch{};
-      for (std::uint64_t trial = begin; trial < end; ++trial) {
-        util::Xoshiro256 rng(trial_seeds[trial]);
-        body(trial, rng, shard_results[shard], scratch);
-      }
-      if (metrics != nullptr)
-        shard_seconds[shard] =
-            std::chrono::duration<double>(Clock::now() - shard_start).count();
-    };
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::uint64_t>(threads_, shards));
-    if (workers <= 1) {
-      for (std::uint64_t shard = 0; shard < shards; ++shard) run_shard(shard);
-    } else {
-      // Dynamic shard queue: workers pull the next shard index; which worker
-      // runs a shard does not affect the result, only load balance.
-      std::atomic<std::uint64_t> next{0};
-      auto worker = [&] {
-        for (;;) {
-          const std::uint64_t shard =
-              next.fetch_add(1, std::memory_order_relaxed);
-          if (shard >= shards) return;
-          run_shard(shard);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-      for (auto& t : pool) t.join();
-    }
-
     Result total{};
-    for (auto& r : shard_results) total += r;
-
-    if (metrics != nullptr) {
-      metrics->workers = std::max(1u, workers);
-      metrics->trials = trials;
-      metrics->shards = shards;
-      metrics->wall_seconds =
-          std::chrono::duration<double>(Clock::now() - run_start).count();
-      metrics->shard_seconds = std::move(shard_seconds);
-    }
+    RunShardsObserved<Result, Scratch>(
+        seed, trials, 0, ShardCount(trials), body,
+        [&total](std::uint64_t, const Result& shard) { total += shard; },
+        nullptr, metrics);
     return total;
   }
 
-  /// Resumable, shard-granular variant for the campaign runner: runs shards
-  /// [first_shard, end_shard) of the `trials`-trial campaign seeded with
-  /// `seed`, handing each completed shard's Result to
+  /// The executor behind Run and the campaign runner: runs shards
+  /// [first_shard, end_shard) of the `trials`-trial run seeded with `seed`,
+  /// handing each completed shard's Result to
   ///   observer(shard_index, result)
-  /// strictly in shard order (an internal reorder buffer holds
-  /// out-of-order completions from parallel workers). Because the observer
-  /// applies `+=` in the same serial shard order Run's reduce uses, an
-  /// accumulator fed by any split of [0, ShardCount) across calls —
+  /// strictly in shard order. Run's reduce is the observer `total += r`,
+  /// so an accumulator fed by any split of [0, ShardCount) across calls —
   /// checkpointed, resumed, or merged across processes — is bitwise
   /// identical to the uninterrupted Run at the same (seed, trials), for any
   /// thread count.
@@ -226,95 +175,139 @@ class TrialEngine {
   /// the claimed range stays dense — no observed shard is ever discarded.
   /// Returns one past the last observed shard (== end_shard when the range
   /// completed). The observer runs with an internal lock held and must not
-  /// call back into the engine.
+  /// call back into the engine. An exception from the body or the observer
+  /// stops further claims and is rethrown once every worker has joined.
+  /// `metrics` is filled as documented on Run, over the shards this call
+  /// ran.
   template <typename Result, typename Scratch, typename Body,
             typename Observer>
   std::uint64_t RunShardsObserved(std::uint64_t seed, std::uint64_t trials,
                                   std::uint64_t first_shard,
                                   std::uint64_t end_shard, Body&& body,
                                   Observer&& observer,
-                                  const std::atomic<bool>* stop =
-                                      nullptr) const {
+                                  const std::atomic<bool>* stop = nullptr,
+                                  EngineMetrics* metrics = nullptr) const {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point run_start =
+        metrics != nullptr ? Clock::now() : Clock::time_point{};
     const std::uint64_t total_shards = ShardCount(trials);
     PAIR_CHECK(first_shard <= end_shard && end_shard <= total_shards,
                "RunShardsObserved: shard range [" << first_shard << ", "
                    << end_shard << ") outside [0, " << total_shards << ")");
-    // Both bounds clamp to `trials`: with a partial last shard,
-    // first_shard == total_shards starts past the trial count, and the
-    // unclamped difference would underflow.
-    const std::uint64_t first_trial =
-        std::min(first_shard * kShardTrials, trials);
-    const std::uint64_t last_trial =
-        std::min(end_shard * kShardTrials, trials);
+    const std::uint64_t shards = end_shard - first_shard;
+    const unsigned workers = static_cast<unsigned>(
+        std::max<std::uint64_t>(1, std::min<std::uint64_t>(threads_, shards)));
 
     // The master stream is positioned by drawing (not storing) the
     // sub-seeds of every earlier trial — trial i's stream is a pure
     // function of (seed, i), which is why a checkpoint needs no RNG state
-    // beyond the next shard index.
+    // beyond the next shard index. The clamp matters with a partial last
+    // shard, where first_shard == total_shards starts past the trial count.
     util::Xoshiro256 master(seed);
-    for (std::uint64_t t = 0; t < first_trial; ++t) master();
-    std::vector<std::uint64_t> trial_seeds(last_trial - first_trial);
-    for (auto& s : trial_seeds) s = master();
+    for (std::uint64_t t = std::min(first_shard * kShardTrials, trials);
+         t > 0; --t)
+      master();
 
-    auto run_shard = [&](std::uint64_t shard, Result& result,
-                         Scratch& scratch) {
-      const std::uint64_t begin = shard * kShardTrials;
-      const std::uint64_t end = std::min(begin + kShardTrials, trials);
-      for (std::uint64_t trial = begin; trial < end; ++trial) {
-        util::Xoshiro256 rng(trial_seeds[trial - first_trial]);
-        body(trial, rng, result, scratch);
-      }
-    };
+    // Completed shards wait in a ring of `window` slots until every earlier
+    // shard has been observed; a worker claims shard s only once its slot
+    // (s - first_shard) % window is free. That bound is what keeps memory a
+    // function of the thread count, never of the trial count.
+    const std::uint64_t window = std::uint64_t{kWindowPerWorker} * workers;
+    std::vector<double> shard_seconds(metrics != nullptr ? shards : 0);
+    // mu guards `master`, the ring, both cursors and `failure`.
+    std::mutex mu;
+    std::condition_variable slot_freed;
+    std::vector<std::optional<Result>> done(window);
+    std::uint64_t next_claim = first_shard;
+    std::uint64_t next_observe = first_shard;
+    // A body or observer exception stops further claims on every worker
+    // and is rethrown to the caller once all workers have joined.
+    std::exception_ptr failure;
     const auto stopped = [stop] {
       return stop != nullptr && stop->load(std::memory_order_relaxed);
     };
+    const auto halted = [&] { return failure != nullptr || stopped(); };
 
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::uint64_t>(threads_, end_shard - first_shard));
-    if (workers <= 1) {
-      std::uint64_t shard = first_shard;
-      for (; shard < end_shard && !stopped(); ++shard) {
-        Result result{};
-        Scratch scratch{};
-        run_shard(shard, result, scratch);
-        observer(shard, result);
-      }
-      return shard;
-    }
-
-    // Parallel: a dense claim counter plus a shard-ordered reorder buffer.
-    // Claims stop advancing once `stop` is observed; every claimed shard
-    // still completes, so the flushed prefix is exactly [first, next_claim).
-    std::atomic<std::uint64_t> next_claim{first_shard};
-    std::mutex mu;
-    std::map<std::uint64_t, Result> pending;
-    std::uint64_t next_observe = first_shard;
     auto worker = [&] {
-      for (;;) {
-        if (stopped()) return;
-        const std::uint64_t shard =
-            next_claim.fetch_add(1, std::memory_order_relaxed);
-        if (shard >= end_shard) return;
-        Result result{};
-        Scratch scratch{};
-        run_shard(shard, result, scratch);
-        std::lock_guard<std::mutex> lock(mu);
-        pending.emplace(shard, std::move(result));
-        while (!pending.empty() && pending.begin()->first == next_observe) {
-          observer(next_observe, pending.begin()->second);
-          pending.erase(pending.begin());
-          ++next_observe;
+      std::uint64_t trial_seeds[kShardTrials];
+      try {
+        for (;;) {
+          // Claim the next shard and draw its sub-seeds in one critical
+          // section: claims are dense and in shard order, so trial i still
+          // gets the master stream's i-th output.
+          std::uint64_t shard = 0;
+          std::uint64_t begin = 0;
+          std::uint64_t end = 0;
+          {
+            std::unique_lock<std::mutex> lock(mu);
+            slot_freed.wait(lock, [&] {
+              return next_claim >= end_shard ||
+                     next_claim < next_observe + window || halted();
+            });
+            if (next_claim >= end_shard || halted()) return;
+            shard = next_claim++;
+            begin = shard * kShardTrials;
+            end = std::min(begin + kShardTrials, trials);
+            for (std::uint64_t t = begin; t < end; ++t)
+              trial_seeds[t - begin] = master();
+          }
+
+          const Clock::time_point shard_start =
+              metrics != nullptr ? Clock::now() : Clock::time_point{};
+          Result result{};
+          Scratch scratch{};
+          for (std::uint64_t trial = begin; trial < end; ++trial) {
+            util::Xoshiro256 rng(trial_seeds[trial - begin]);
+            body(trial, rng, result, scratch);
+          }
+          if (metrics != nullptr)
+            shard_seconds[shard - first_shard] =
+                std::chrono::duration<double>(Clock::now() - shard_start)
+                    .count();
+
+          std::lock_guard<std::mutex> lock(mu);
+          done[(shard - first_shard) % window].emplace(std::move(result));
+          const std::uint64_t observed_before = next_observe;
+          for (auto* slot = &done[(next_observe - first_shard) % window];
+               slot->has_value();
+               slot = &done[(next_observe - first_shard) % window]) {
+            observer(next_observe, **slot);
+            slot->reset();
+            ++next_observe;
+          }
+          if (next_observe != observed_before) slot_freed.notify_all();
         }
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (failure == nullptr) failure = std::current_exception();
+        slot_freed.notify_all();
       }
     };
+    // The calling thread is worker 0, so a one-worker run spawns nothing.
     std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
+    pool.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(worker);
+    worker();
     for (auto& t : pool) t.join();
+    if (failure != nullptr) std::rethrow_exception(failure);
+
+    if (metrics != nullptr) {
+      metrics->workers = workers;
+      metrics->trials = std::min(end_shard * kShardTrials, trials) -
+                        std::min(first_shard * kShardTrials, trials);
+      metrics->shards = shards;
+      metrics->wall_seconds =
+          std::chrono::duration<double>(Clock::now() - run_start).count();
+      metrics->shard_seconds = std::move(shard_seconds);
+    }
     return next_observe;
   }
 
  private:
+  /// Reorder-ring slots per worker: how far the other workers may run ahead
+  /// of the oldest unobserved shard before they wait for it.
+  static constexpr unsigned kWindowPerWorker = 4;
+
   unsigned threads_;
 };
 

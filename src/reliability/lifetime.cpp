@@ -55,7 +55,7 @@ struct LifetimeScratch {
 
 }  // namespace
 
-LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
+LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
                           ScenarioTelemetry* telemetry) {
   config.geometry.Validate();
   const auto& g = config.geometry.device;

@@ -375,7 +375,7 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
 }
 
 SystemStats RunSystemCampaign(const SystemConfig& config,
-                              const timing::Trace& demand, unsigned trials,
+                              const timing::Trace& demand, std::uint64_t trials,
                               reliability::ScenarioTelemetry* telemetry) {
   config.Validate();
   for (std::size_t i = 0; i < demand.size(); ++i) {
@@ -408,7 +408,7 @@ SystemStats RunSystemCampaign(const SystemConfig& config,
 
 SystemStats RunSystemCampaignStreaming(const SystemConfig& config,
                                        const RequestSourceFactory& factory,
-                                       unsigned trials,
+                                       std::uint64_t trials,
                                        reliability::ScenarioTelemetry* telemetry,
                                        StreamingDemandInfo* info) {
   config.Validate();
@@ -518,13 +518,13 @@ void AddSystemStats(telemetry::Report& report, const SystemStats& stats,
 }
 
 telemetry::Report BuildSystemReport(
-    const SystemConfig& config, unsigned trials, std::size_t demand_requests,
+    const SystemConfig& config, std::uint64_t trials, std::size_t demand_requests,
     const SystemStats& stats, const reliability::ScenarioTelemetry& telemetry) {
   telemetry::Report report("pairsim-system");
   report.MetaString("scheme", ecc::ToString(config.scheme));
   report.MetaString("scheduler", timing::ToString(config.scheduler));
   report.MetaInt("seed", static_cast<std::int64_t>(config.seed));
-  report.MetaInt("trials", trials);
+  report.MetaInt("trials", static_cast<std::int64_t>(trials));
   report.MetaInt("shards", ShardCount(trials));
   report.MetaInt("demand_requests",
                  static_cast<std::int64_t>(demand_requests));

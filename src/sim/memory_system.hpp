@@ -242,7 +242,7 @@ class MemorySystem {
 /// is non-null it receives the merged codec/injection telemetry and the
 /// engine's wall-clock metrics.
 SystemStats RunSystemCampaign(const SystemConfig& config,
-                              const timing::Trace& demand, unsigned trials,
+                              const timing::Trace& demand, std::uint64_t trials,
                               reliability::ScenarioTelemetry* telemetry = nullptr);
 
 /// Builds a fresh rewindable demand source; called once per trial so each
@@ -266,7 +266,7 @@ struct StreamingDemandInfo {
 /// matter how long the stream is.
 SystemStats RunSystemCampaignStreaming(
     const SystemConfig& config, const RequestSourceFactory& factory,
-    unsigned trials, reliability::ScenarioTelemetry* telemetry = nullptr,
+    std::uint64_t trials, reliability::ScenarioTelemetry* telemetry = nullptr,
     StreamingDemandInfo* info = nullptr);
 
 /// Adds the `system.*` counter/metric/histogram section for `stats`.
@@ -280,7 +280,7 @@ void AddSystemStats(telemetry::Report& report, const SystemStats& stats,
 /// `system.*` counter/metric/histogram section from `stats`, codec/fault
 /// telemetry, and engine wall-clock in the (diff-ignored) timing section.
 telemetry::Report BuildSystemReport(const SystemConfig& config,
-                                    unsigned trials,
+                                    std::uint64_t trials,
                                     std::size_t demand_requests,
                                     const SystemStats& stats,
                                     const reliability::ScenarioTelemetry& telemetry);

@@ -11,9 +11,6 @@
 #if PAIR_HAVE_ZLIB
 #include <zlib.h>
 #endif
-#if PAIR_HAVE_ZSTD
-#include <zstd.h>
-#endif
 
 namespace pair_ecc::workload {
 
@@ -51,14 +48,6 @@ std::size_t MemoryByteSource::Read(char* out, std::size_t max) {
 
 bool GzipSupported() noexcept {
 #if PAIR_HAVE_ZLIB
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool ZstdSupported() noexcept {
-#if PAIR_HAVE_ZSTD
   return true;
 #else
   return false;
@@ -151,67 +140,6 @@ class InflateSource final : public ByteSource {
 }  // namespace
 #endif  // PAIR_HAVE_ZLIB
 
-#if PAIR_HAVE_ZSTD
-namespace {
-
-class ZstdSource final : public ByteSource {
- public:
-  ZstdSource(std::unique_ptr<ByteSource> inner, std::string name)
-      : inner_(std::move(inner)),
-        name_(std::move(name)),
-        dctx_(ZSTD_createDCtx()),
-        in_(ZSTD_DStreamInSize()) {
-    PAIR_CHECK(inner_ != nullptr, "ZstdSource: null inner source");
-    if (dctx_ == nullptr)
-      throw std::runtime_error(name_ + ": ZSTD_createDCtx failed");
-  }
-  ~ZstdSource() override { ZSTD_freeDCtx(dctx_); }
-
-  std::size_t Read(char* out, std::size_t max) override {
-    ZSTD_outBuffer ob{out, max, 0};
-    while (ob.pos < ob.size) {
-      if (ib_.pos >= ib_.size && !in_eof_) {
-        const std::size_t n = inner_->Read(in_.data(), in_.size());
-        if (n == 0) in_eof_ = true;
-        ib_ = ZSTD_inBuffer{in_.data(), n, 0};
-      }
-      if (ib_.pos >= ib_.size && in_eof_) {
-        if (mid_frame_)
-          throw std::runtime_error(name_ +
-                                   ": corrupt compressed stream "
-                                   "(truncated zstd frame)");
-        break;
-      }
-      const std::size_t rc = ZSTD_decompressStream(dctx_, &ob, &ib_);
-      if (ZSTD_isError(rc) != 0)
-        throw std::runtime_error(name_ + ": corrupt compressed stream (" +
-                                 ZSTD_getErrorName(rc) + ")");
-      mid_frame_ = rc != 0;
-    }
-    return ob.pos;
-  }
-
-  void Reset() override {
-    inner_->Reset();
-    ZSTD_DCtx_reset(dctx_, ZSTD_reset_session_only);
-    ib_ = ZSTD_inBuffer{nullptr, 0, 0};
-    in_eof_ = false;
-    mid_frame_ = false;
-  }
-
- private:
-  std::unique_ptr<ByteSource> inner_;
-  std::string name_;
-  ZSTD_DCtx* dctx_;
-  std::vector<char> in_;
-  ZSTD_inBuffer ib_{nullptr, 0, 0};
-  bool in_eof_ = false;
-  bool mid_frame_ = false;
-};
-
-}  // namespace
-#endif  // PAIR_HAVE_ZSTD
-
 std::unique_ptr<ByteSource> MakeInflateSource(std::unique_ptr<ByteSource> inner,
                                               const std::string& name) {
 #if PAIR_HAVE_ZLIB
@@ -221,18 +149,6 @@ std::unique_ptr<ByteSource> MakeInflateSource(std::unique_ptr<ByteSource> inner,
   throw std::runtime_error(name +
                            ": gzip-compressed traces need zlib, which this "
                            "build does not have");
-#endif
-}
-
-std::unique_ptr<ByteSource> MakeZstdSource(std::unique_ptr<ByteSource> inner,
-                                           const std::string& name) {
-#if PAIR_HAVE_ZSTD
-  return std::make_unique<ZstdSource>(std::move(inner), name);
-#else
-  (void)inner;
-  throw std::runtime_error(name +
-                           ": zstd-compressed traces need libzstd headers, "
-                           "which this build does not have");
 #endif
 }
 
@@ -263,7 +179,11 @@ std::unique_ptr<ByteSource> OpenByteSource(const std::string& path) {
   auto file = std::make_unique<FileByteSource>(path);
   switch (SniffMagic(*file)) {
     case Sniff::kGzip: return MakeInflateSource(std::move(file), path);
-    case Sniff::kZstd: return MakeZstdSource(std::move(file), path);
+    case Sniff::kZstd:
+      throw std::runtime_error(path +
+                               ": zstd-compressed traces are not supported; "
+                               "decompress the file or recompress it with "
+                               "gzip");
     case Sniff::kPlain: break;
   }
   return file;

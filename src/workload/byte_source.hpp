@@ -1,13 +1,13 @@
 // Resettable byte streams feeding the chunked trace parser: plain files,
-// in-memory buffers, and transparently-decompressed gzip/zstd files behind
-// a magic-byte sniffing opener.
+// in-memory buffers, and transparently-decompressed gzip files behind a
+// magic-byte sniffing opener.
 //
 // ByteSource is the compression seam: the streaming parser reads whatever
 // bytes come out, so a multi-GB compressed trace decompresses on the fly
-// in constant memory. Compression backends are compile-time gated on the
-// toolchain (PAIR_HAVE_ZLIB / PAIR_HAVE_ZSTD); opening a compressed file
-// without the matching backend fails with a clear std::runtime_error
-// instead of misparsing bytes.
+// in constant memory. The gzip backend is compile-time gated on zlib
+// (PAIR_HAVE_ZLIB). zstd files are recognised by their magic and refused:
+// opening one, or a gzip file without zlib, fails with a one-line
+// std::runtime_error naming the file instead of misparsing bytes.
 #pragma once
 
 #include <cstddef>
@@ -59,9 +59,8 @@ class MemoryByteSource final : public ByteSource {
   std::size_t pos_ = 0;
 };
 
-/// True when the matching decompression backend was compiled in.
+/// True when the gzip decompression backend was compiled in.
 bool GzipSupported() noexcept;
-bool ZstdSupported() noexcept;
 
 /// Wraps `inner` (a gzip or zlib stream) in an inflating reader. `name`
 /// labels error messages. Throws std::runtime_error when built without
@@ -69,15 +68,10 @@ bool ZstdSupported() noexcept;
 std::unique_ptr<ByteSource> MakeInflateSource(std::unique_ptr<ByteSource> inner,
                                               const std::string& name);
 
-/// Wraps `inner` (a zstd frame stream) in a decompressing reader. Throws
-/// std::runtime_error when built without zstd.
-std::unique_ptr<ByteSource> MakeZstdSource(std::unique_ptr<ByteSource> inner,
-                                           const std::string& name);
-
-/// Opens `path`, sniffs the first bytes, and returns a plain, inflating,
-/// or zstd-decompressing source accordingly (gzip magic 1f 8b, zstd magic
-/// 28 b5 2f fd). Throws std::runtime_error on open failure or when the
-/// needed backend is not compiled in.
+/// Opens `path`, sniffs the first bytes, and returns a plain or inflating
+/// source accordingly (gzip magic 1f 8b). Throws std::runtime_error on
+/// open failure, for a zstd file (magic 28 b5 2f fd), and for a gzip file
+/// when zlib is not compiled in.
 std::unique_ptr<ByteSource> OpenByteSource(const std::string& path);
 
 /// True when `path` starts with a gzip or zstd magic (the same sniff

@@ -4,8 +4,12 @@
 // correction), and performance-descriptor sanity.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "dram/rank.hpp"
 #include "ecc/scheme.hpp"
+#include "rs/rs_code.hpp"
 #include "util/rng.hpp"
 
 namespace pair_ecc::ecc {
@@ -112,10 +116,13 @@ TEST_P(SchemeParamTest, SingleBitFaultNeverCausesSdc) {
 }
 
 TEST_P(SchemeParamTest, BatchEntryPointsMatchPerLineBitwise) {
-  // The batch WriteLines/ReadLines path (vectorized for PAIR/DUO/IECC,
-  // default loop elsewhere) must be observably identical to the per-line
-  // path: same claims, same corrected-unit counts, same delivered data —
-  // including under injected faults and overwrites of dirty codewords.
+  // The batch WriteLines/ReadLines path must be observably identical to
+  // the per-line path: same claims, same corrected-unit counts, same
+  // delivered data — including under injected faults and overwrites of
+  // dirty codewords. PAIR and DUO serve a per-line call as a batch of one,
+  // so for them this compares a span against single-lane batches; the
+  // bit-level references (PairOracleTest, Duo.BatchAndPerLinePathsMatch...)
+  // pin the path itself. Other schemes use the default per-line loop.
   Xoshiro256 rng(6);
   Rank batch_rank(rg_);
   auto batch_scheme = MakeScheme(GetParam(), batch_rank);
@@ -506,6 +513,143 @@ TEST(Duo, MixedDataAndSpareErrorsWithinBudget) {
   const auto r = scheme->ReadLine(addr);
   EXPECT_EQ(r.claim, Claim::kCorrected);
   EXPECT_EQ(r.data, line);
+}
+
+// Bit-level DUO reference: gathers a line's 76 RS(76,64) symbols one stored
+// bit at a time with Device::ReadBit and decodes them with the scalar
+// RsCode::Decode. Symbol s < 64 is line bits [8s, 8s + 8); symbols 64..71
+// are the sidecar device's column, 8 bits each; symbol 72 + q packs the
+// spare nibbles of data devices 2q (low) and 2q + 1 (high).
+class ReferenceDuo {
+ public:
+  explicit ReferenceDuo(const Rank& rank)
+      : rank_(rank), code_(rs::RsCode::Gf256(76, 64)) {}
+
+  const rs::RsCode& code() const { return code_; }
+
+  std::vector<gf::Elem> Gather(const Address& a) const {
+    const auto& g = rank_.geometry().device;
+    const unsigned width = g.AccessBits();
+    std::vector<gf::Elem> word(code_.n(), 0);
+    const auto put = [&](unsigned sym, unsigned d, unsigned bit,
+                         unsigned shift) {
+      if (rank_.device(d).ReadBit(a.bank, a.row, bit))
+        word[sym] = static_cast<gf::Elem>(word[sym] | 1u << shift);
+    };
+    for (unsigned s = 0; s < code_.k(); ++s)
+      for (unsigned j = 0; j < 8; ++j)
+        put(s, s * 8 / width, a.col * width + s * 8 % width + j, j);
+    for (unsigned s = 0; s < 8; ++s)
+      for (unsigned j = 0; j < 8; ++j)
+        put(code_.k() + s, rank_.DataDevices(), a.col * width + s * 8 + j, j);
+    for (unsigned d = 0; d < rank_.DataDevices(); ++d)
+      for (unsigned j = 0; j < 4; ++j)
+        put(code_.k() + 8 + d / 2, d, g.row_bits + a.col * 4 + j,
+            d % 2 * 4 + j);
+    return word;
+  }
+
+  ReadResult ReadLine(const Address& a,
+                      std::span<const unsigned> erasures) const {
+    std::vector<gf::Elem> word = Gather(a);
+    const rs::DecodeResult dec =
+        code_.Decode(std::span<gf::Elem>(word), erasures);
+    ReadResult r;
+    if (dec.status == rs::DecodeStatus::kCorrected) {
+      r.claim = Claim::kCorrected;
+      r.corrected_units = dec.NumCorrected();
+    } else if (dec.status == rs::DecodeStatus::kFailure) {
+      r.claim = Claim::kDetected;
+    }
+    r.data = BitVec(rank_.geometry().LineBits());
+    for (unsigned s = 0; s < code_.k(); ++s) r.data.SetWord(s * 8, 8, word[s]);
+    return r;
+  }
+
+ private:
+  const Rank& rank_;
+  rs::RsCode code_;
+};
+
+TEST(Duo, BatchAndPerLinePathsMatchBitLevelReference) {
+  RankGeometry rg;
+  Rank rank(rg);
+  auto scheme = MakeScheme(SchemeKind::kDuo, rank);
+  const ReferenceDuo ref(rank);
+  const auto& g = rg.device;
+  Xoshiro256 rng(0xD0);
+
+  std::vector<Address> addrs;
+  std::vector<BitVec> lines;
+  for (unsigned i = 0; i < 16; ++i) {
+    addrs.push_back({i % 2, 5 + i % 2, (i * 29) % g.ColumnsPerRow()});
+    lines.push_back(BitVec::Random(rg.LineBits(), rng));
+  }
+  // Half the lines through the batch writer, half one at a time; either
+  // way the stored word must be the codeword of the line.
+  scheme->WriteLines(std::span<const Address>(addrs.data(), 8),
+                     std::span<const BitVec>(lines.data(), 8));
+  for (std::size_t i = 8; i < addrs.size(); ++i)
+    scheme->WriteLine(addrs[i], lines[i]);
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    const std::vector<gf::Elem> word = ref.Gather(addrs[i]);
+    EXPECT_TRUE(ref.code().IsCodeword(word)) << "line " << i;
+    for (unsigned s = 0; s < ref.code().k(); ++s)
+      ASSERT_EQ(word[s], lines[i].GetWord(s * 8, 8)) << "line " << i;
+  }
+
+  std::vector<unsigned> erasures;
+  const auto expect_reference = [&](const char* when) {
+    std::vector<ReadResult> batch(addrs.size());
+    scheme->ReadLines(addrs, batch);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      const ReadResult want = ref.ReadLine(addrs[i], erasures);
+      const ReadResult& in_batch = batch[i];
+      const ReadResult single = scheme->ReadLine(addrs[i]);
+      for (const ReadResult* got : {&in_batch, &single}) {
+        const char* how = got == &single ? "ReadLine" : "ReadLines";
+        EXPECT_EQ(got->claim, want.claim) << when << " " << how << " line " << i;
+        EXPECT_EQ(got->corrected_units, want.corrected_units)
+            << when << " " << how << " line " << i;
+        EXPECT_EQ(got->data, want.data) << when << " " << how << " line " << i;
+      }
+    }
+  };
+  expect_reference("clean");
+
+  // Random flips on the lines' data, sidecar and spare-nibble bits: enough
+  // per row pair to mix clean, corrected and uncorrectable lines.
+  for (int f = 0; f < 60; ++f) {
+    const Address& a = addrs[rng.UniformBelow(addrs.size())];
+    const unsigned d =
+        static_cast<unsigned>(rng.UniformBelow(rank.DataDevices() + 1));
+    const unsigned bit =
+        f % 4 == 0 && d < rank.DataDevices()
+            ? g.row_bits + a.col * 4 + static_cast<unsigned>(rng.UniformBelow(4))
+            : a.col * g.AccessBits() +
+                  static_cast<unsigned>(rng.UniformBelow(g.AccessBits()));
+    rank.device(d).InjectFlip(a.bank, a.row, bit);
+  }
+  expect_reference("flips");
+
+  // Stuck columns: two lines lose a whole device column each.
+  for (std::size_t i : {std::size_t{1}, std::size_t{10}}) {
+    const Address& a = addrs[i];
+    const unsigned d = static_cast<unsigned>(i % rank.DataDevices());
+    for (unsigned b = 0; b < g.AccessBits(); ++b)
+      rank.device(d).SetStuck(a.bank, a.row, a.col * g.AccessBits() + b,
+                              rng.Bernoulli(0.5));
+  }
+  expect_reference("stuck columns");
+
+  // Chip kill: device 3 is marked erased and then fails outright in both
+  // rows; every multi-line read decodes with its 8 symbols as erasures.
+  ASSERT_TRUE(scheme->MarkDeviceErased(3));
+  for (unsigned s = 24; s < 32; ++s) erasures.push_back(s);
+  for (const Address& a : {addrs[0], addrs[1]})
+    for (unsigned b = 0; b < g.TotalRowBits(); ++b)
+      rank.device(3).SetStuck(a.bank, a.row, b, rng.Bernoulli(0.5));
+  expect_reference("erased device");
 }
 
 TEST(Iecc, WriteOverLatentErrorCorrectsIt) {

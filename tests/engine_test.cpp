@@ -7,7 +7,9 @@
 // per-trial RNG derivation, shard grouping, or merge order fails here.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "reliability/engine.hpp"
@@ -253,6 +255,24 @@ TEST(EngineGeneric, PerTrialStreamMatchesSerialForkSequence) {
         got[trial] = rng();
       });
   EXPECT_EQ(got, expect);
+}
+
+TEST(EngineGeneric, BodyExceptionReachesTheCallerAtAnyThreadCount) {
+  // A throwing trial stops further claims and surfaces from Run once every
+  // worker has joined, instead of ending the process from a worker thread.
+  for (unsigned threads : {1u, 4u}) {
+    std::atomic<std::uint64_t> ran{0};
+    EXPECT_THROW(
+        TrialEngine(threads).Run<DrawSum>(
+            5, 10'000,
+            [&ran](std::uint64_t trial, util::Xoshiro256&, DrawSum&) {
+              ++ran;
+              if (trial == 100) throw std::runtime_error("trial 100 failed");
+            }),
+        std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_LT(ran.load(), 10'000u) << "threads=" << threads;
+  }
 }
 
 TEST(EngineConfig, ResolveThreads) {

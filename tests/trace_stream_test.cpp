@@ -1,11 +1,12 @@
 // Streaming trace subsystem tests: the chunked parser against the
 // whole-trace reader (same requests, same diagnostics, any chunk size),
-// byte-source Reset/replay, and transparent gzip decompression behind the
-// magic-byte sniffing opener.
+// byte-source Reset/replay, and transparent gzip decompression (and the
+// refusal of zstd) behind the magic-byte sniffing opener.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,28 @@ TEST(ByteSource, GarbageAfterGzipMagicFailsLoudly) {
       MakeInflateSource(std::make_unique<MemoryByteSource>(bytes), "<mem>"),
       "<mem>", 16);
   EXPECT_THROW(Drain(parser), std::runtime_error);
+}
+
+// ------------------------------------------------------------------- zstd
+
+TEST(ByteSource, ZstdFileIsRefusedWithOneLineDiagnosticNamingIt) {
+  // A zstd frame magic followed by bytes the text parser would otherwise
+  // misread; the opener must refuse it by content, not by extension.
+  const std::string path = ::testing::TempDir() + "/pair_trace_zstd.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "\x28\xb5\x2f\xfd" << "0 R 0 0 0\n";
+  }
+  EXPECT_TRUE(IsCompressedFile(path));
+  try {
+    OpenTraceStream(path);
+    FAIL() << "a zstd trace was opened";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("zstd"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -951,11 +951,10 @@ AnalyzerConfig AnalyzerConfig::Default() {
       // variant) are as hot as the per-line codec they feed.
       "EncodeBatchInto",          "SyndromesBatchInto",
       "ScalarMulInto",            "ScalarMulAddInto",
-      "ScalarSyndromeAccumulate", "PclmulMulInto",
-      "PclmulMulAddInto",         "PclmulSyndromeAccumulate",
-      "Avx2MulInto",              "Avx2MulAddInto",
-      "Avx2SyndromeAccumulate",   "GfniMulInto",
-      "GfniMulAddInto",           "GfniSyndromeAccumulate",
+      "ScalarSyndromeAccumulate", "Avx2MulInto",
+      "Avx2MulAddInto",           "Avx2SyndromeAccumulate",
+      "GfniMulInto",              "GfniMulAddInto",
+      "GfniSyndromeAccumulate",
       // Storage-to-codec path: word-level BitVec access, the row read into
       // caller-owned scratch, and PAIR's transpose gather, staged-block
       // decode and write-back, which run for every PAIR line access.

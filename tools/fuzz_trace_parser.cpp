@@ -10,8 +10,8 @@
 //           chunk size, down to one byte) and whole-trace ReadTrace
 //           either both accept with identical request sequences, or both
 //           reject with the identical "<source>:<line>:" diagnostic.
-//   high bit set — BYTES: the payload is fed through the gzip/zstd
-//     sniffing decompression path. Properties:
+//   high bit set — BYTES: the payload is fed through the sniffing
+//     decompression path (gzip inflates; zstd is refused). Properties:
 //     BP 1. No crash on arbitrary (truncated, corrupt, concatenated)
 //           compressed input; failures surface as std::runtime_error.
 //     BP 2. When the bytes do decode, the decompressed text obeys TP 2.

@@ -29,7 +29,7 @@
 //       --geometry selects a device/timing preset (ddr4-3200, ddr5-4800,
 //       hbm3); --scheduler the controller policy. --trace-gen KIND
 //       (tensor|pointer|batch) streams a synthetic AI/HPC workload in
-//       constant memory; gzip/zstd traces and --stream 1 also take the
+//       constant memory; gzip traces and --stream 1 also take the
 //       streaming path, plain --trace files stay materialized (bitwise
 //       with earlier releases).
 //   pairsim trace --gen tensor|pointer|batch --requests N --out FILE
@@ -256,17 +256,18 @@ void ValidateDemandTrace(const timing::Trace& demand,
 }
 
 /// PAIR_TRIALS environment override (the bench binaries' convention).
-unsigned ResolveTrials(unsigned from_flags) {
+std::uint64_t ResolveTrials(std::uint64_t from_flags) {
   const char* env = std::getenv("PAIR_TRIALS");
   if (env == nullptr || *env == '\0') return from_flags;
   const std::string s(env);
   if (s.find_first_not_of("0123456789") != std::string::npos)
     throw std::runtime_error("PAIR_TRIALS: invalid non-negative integer '" +
                              s + "'");
-  const unsigned long long v = std::stoull(s);
-  if (v > std::numeric_limits<unsigned>::max())
+  try {
+    return std::stoull(s);
+  } catch (const std::exception&) {
     throw std::runtime_error("PAIR_TRIALS: value " + s + " is out of range");
-  return static_cast<unsigned>(v);
+  }
 }
 
 std::string ReadFileBytes(const std::string& path, const std::string& what) {
@@ -316,7 +317,7 @@ reliability::TiltSpec ParseTiltFlags(Args& args) {
 /// `pairsim reliability` with an active tilt: importance-sampled run with
 /// weighted estimators alongside the raw (proposal-measure) breakdown.
 int RunTiltedReliability(const reliability::ScenarioConfig& cfg,
-                         const reliability::TiltSpec& tilt, unsigned trials,
+                         const reliability::TiltSpec& tilt, std::uint64_t trials,
                          const std::string& json_path) {
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
@@ -388,7 +389,7 @@ int CmdReliability(Args& args) {
   cfg.seed = args.GetU64("seed", 1);
   cfg.threads = args.GetUnsigned("threads", 0);
   const reliability::TiltSpec tilt = ParseTiltFlags(args);
-  const unsigned trials = args.GetUnsigned("trials", 500);
+  const std::uint64_t trials = args.GetU64("trials", 500);
   const std::string json_path = args.Get("json", "");
   args.CheckAllConsumed();
 
@@ -445,7 +446,7 @@ int CmdLifetime(Args& args) {
   cfg.scrub_interval = args.GetUnsigned("scrub", 0);
   cfg.seed = args.GetU64("seed", 1);
   cfg.threads = args.GetUnsigned("threads", 0);
-  const unsigned trials = args.GetUnsigned("trials", 200);
+  const std::uint64_t trials = args.GetU64("trials", 200);
   const std::string json_path = args.Get("json", "");
   args.CheckAllConsumed();
 
@@ -658,7 +659,7 @@ void PrintSystemSummary(const sim::SystemStats& s,
   t.Print(std::cout);
 }
 
-void WriteSystemReport(const sim::SystemConfig& cfg, unsigned trials,
+void WriteSystemReport(const sim::SystemConfig& cfg, std::uint64_t trials,
                        std::uint64_t demand_requests,
                        const sim::SystemStats& s,
                        const reliability::ScenarioTelemetry& tel,
@@ -675,7 +676,7 @@ void WriteSystemReport(const sim::SystemConfig& cfg, unsigned trials,
 
 int CmdSystem(Args& args) {
   SystemFlags f = ParseSystemFlags(args);
-  const unsigned trials = args.GetUnsigned("trials", 200);
+  const std::uint64_t trials = args.GetU64("trials", 200);
   const std::string json_path = args.Get("json", "");
   args.CheckAllConsumed();
   const sim::SystemConfig& cfg = f.cfg;
@@ -864,7 +865,7 @@ int CmdCampaignRun(Args& args) {
 
   telemetry::JsonValue fp = telemetry::JsonValue::MakeObject();
   fp.Set("mode", telemetry::JsonValue(mode_name));
-  unsigned trials = 0;
+  std::uint64_t trials = 0;
 
   if (spec.mode == sim::CampaignMode::kReliability) {
     auto& cfg = spec.scenario;
@@ -875,7 +876,7 @@ int CmdCampaignRun(Args& args) {
     cfg.faults_per_trial = args.GetUnsigned("faults", 2);
     cfg.seed = args.GetU64("seed", 1);
     cfg.threads = args.GetUnsigned("threads", 0);
-    trials = ResolveTrials(args.GetUnsigned("trials", 500));
+    trials = ResolveTrials(args.GetU64("trials", 500));
     fp.Set("scheme", telemetry::JsonValue(scheme_name));
     fp.Set("mix", telemetry::JsonValue(mix_name));
     fp.Set("faults_per_trial", telemetry::JsonValue(cfg.faults_per_trial));
@@ -889,7 +890,7 @@ int CmdCampaignRun(Args& args) {
     reliability::AddTiltFingerprint(fp, spec.tilt);
   } else {
     SystemFlags f = ParseSystemFlags(args);
-    trials = ResolveTrials(args.GetUnsigned("trials", 200));
+    trials = ResolveTrials(args.GetU64("trials", 200));
     spec.system = f.cfg;
     // Campaign checkpoints need the whole demand trace in the spec, so
     // --trace-gen streams are materialized here (campaigns are about
